@@ -7,13 +7,18 @@
  * raw simulator execution throughput.
  *
  * Besides the google-benchmark suite, main() runs a direct comparison
- * of the four execution-engine configurations ({serial, parallel} x
- * {byte-decode, predecode}) and writes the timings plus decode-cache
- * hit/miss counts to BENCH_micro_core.json.
+ * of the execution-engine configurations ({serial, parallel} x
+ * {traces off, on}, plus PC sampling on the default engine) and writes
+ * the timings, decode-cache hit/miss counts and two same-run ratios
+ * (trace_speedup, sampling_overhead_throughput) to
+ * BENCH_micro_core.json.
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "driver/api.hpp"
@@ -175,7 +180,7 @@ BENCHMARK(BM_CacheModel);
  * (block 256, grid 4).
  */
 sim::LaunchParams
-placeLoopKernel(sim::GpuDevice &gpu, uint32_t block = 256)
+placeLoopKernel(sim::GpuDevice &gpu)
 {
     std::vector<isa::Instruction> prog;
     prog.push_back(isa::makeMovImm(4, 0));
@@ -205,7 +210,7 @@ placeLoopKernel(sim::GpuDevice &gpu, uint32_t block = 256)
 
     sim::LaunchParams lp;
     lp.entry_pc = entry;
-    lp.block[0] = block;
+    lp.block[0] = 256;
     lp.grid[0] = 4;
     return lp;
 }
@@ -244,10 +249,9 @@ BENCHMARK(BM_SimulatorThroughput);
 
 struct EngineResult {
     const char *name;
-    const char *kernel;
     sim::ExecMode mode;
-    bool predecode;
     bool traces = false;
+    uint64_t sample_period = 0;
     double ms_per_launch = 0.0;
     double warp_mips = 0.0;
     uint64_t warp_instrs = 0;
@@ -256,84 +260,78 @@ struct EngineResult {
     uint64_t pages_built = 0;
 };
 
-EngineResult
-runEngine(const char *name, sim::ExecMode mode, bool predecode,
-          uint32_t block, const char *kernel, int reps,
-          uint64_t sample_period = 0, bool traces = false)
+/**
+ * Time the loop kernel on one device per row.  Each repetition
+ * launches every row once, so host-speed drift (a shared machine's
+ * speed moves over seconds) hits all rows alike and their ratios stay
+ * comparable; the min over repetitions drops one-off stalls (any one
+ * launch can only be slowed down).
+ */
+template <size_t N>
+void
+timeEngines(EngineResult (&rows)[N])
 {
-    sim::GpuConfig cfg;
-    cfg.mem_bytes = 16 << 20;
-    cfg.exec_mode = mode;
-    cfg.use_predecode = predecode;
-    cfg.use_traces = traces;
-    cfg.pc_sample_period = sample_period;
-    sim::GpuDevice gpu(cfg);
-    sim::LaunchParams lp = placeLoopKernel(gpu, block);
-
-    gpu.launch(lp); // warm-up (predecode pages, pool threads, traces)
-
-    // Min over repetitions: robust against scheduler noise on a
-    // loaded machine (any one launch can only be slowed down).
-    EngineResult r{name, kernel, mode, predecode, traces, 0, 0, 0, 0, 0, 0};
-    uint64_t best = UINT64_MAX;
-    for (int i = 0; i < reps; ++i) {
-        uint64_t t0 = nowNs();
-        sim::LaunchStats st = gpu.launch(lp);
-        uint64_t elapsed = nowNs() - t0;
-        if (elapsed < best)
-            best = elapsed;
-        r.warp_instrs = st.warp_instrs;
-        r.decode_cache_hits = st.decode_cache_hits;
-        r.decode_cache_misses = st.decode_cache_misses;
+    constexpr int kReps = 7;
+    std::vector<std::unique_ptr<sim::GpuDevice>> gpus;
+    std::vector<sim::LaunchParams> lps;
+    for (const EngineResult &r : rows) {
+        sim::GpuConfig cfg;
+        cfg.mem_bytes = 16 << 20;
+        cfg.exec_mode = r.mode;
+        cfg.use_traces = r.traces;
+        cfg.pc_sample_period = r.sample_period;
+        gpus.push_back(std::make_unique<sim::GpuDevice>(cfg));
+        lps.push_back(placeLoopKernel(*gpus.back()));
+        // Warm-up: predecode pages, pool threads, traces.
+        gpus.back()->launch(lps.back());
     }
-    r.ms_per_launch = static_cast<double>(best) / 1e6;
-    r.warp_mips = static_cast<double>(r.warp_instrs) /
-                  (static_cast<double>(best) / 1e3);
-    r.pages_built = gpu.codeCache().pagesBuilt();
-    return r;
+    std::vector<uint64_t> best(N, UINT64_MAX);
+    for (int rep = 0; rep < kReps; ++rep) {
+        for (size_t i = 0; i < N; ++i) {
+            uint64_t t0 = nowNs();
+            sim::LaunchStats st = gpus[i]->launch(lps[i]);
+            best[i] = std::min(best[i], nowNs() - t0);
+            rows[i].warp_instrs = st.warp_instrs;
+            rows[i].decode_cache_hits = st.decode_cache_hits;
+            rows[i].decode_cache_misses = st.decode_cache_misses;
+        }
+    }
+    for (size_t i = 0; i < N; ++i) {
+        rows[i].ms_per_launch = static_cast<double>(best[i]) / 1e6;
+        rows[i].warp_mips = static_cast<double>(rows[i].warp_instrs) /
+                            (static_cast<double>(best[i]) / 1e3);
+        rows[i].pages_built = gpus[i]->codeCache().pagesBuilt();
+    }
 }
 
 void
 emitEngineComparison()
 {
-    // Two kernels: "throughput" is backend-bound (32 active lanes per
-    // warp instruction, execution dominates); "frontend" runs one lane
-    // per warp so fetch+decode is a large fraction of the per-warp-
-    // instruction cost — it isolates what the predecode cache removes.
-    const EngineResult results[] = {
-        runEngine("serial_bytedecode", sim::ExecMode::Serial, false, 256,
-                  "throughput", 5),
-        runEngine("serial_predecode", sim::ExecMode::Serial, true, 256,
-                  "throughput", 5),
-        runEngine("parallel_bytedecode", sim::ExecMode::Parallel, false,
-                  256, "throughput", 5),
-        runEngine("parallel_predecode", sim::ExecMode::Parallel, true,
-                  256, "throughput", 5),
-        runEngine("serial_bytedecode", sim::ExecMode::Serial, false, 1,
-                  "frontend", 40),
-        runEngine("serial_predecode", sim::ExecMode::Serial, true, 1,
-                  "frontend", 40),
-        // PC sampling enabled on the default engine: the disabled cost
-        // must stay one relaxed load in the scheduler hot loop, so the
-        // throughput ratio vs row [3] bounds the sampling machinery.
-        runEngine("parallel_predecode_sampled", sim::ExecMode::Parallel,
-                  true, 256, "throughput", 5, 1000),
+    // The loop kernel is backend-bound: 32 active lanes per warp
+    // instruction, so execution dominates the per-instruction cost.
+    EngineResult results[] = {
+        {"serial", sim::ExecMode::Serial},
+        {"parallel", sim::ExecMode::Parallel},
+        // PC sampling enabled: the disabled cost must stay one relaxed
+        // load in the scheduler hot loop, so the throughput ratio vs
+        // row [0] bounds the sampling machinery.  Serial rows, because
+        // a parallel row's time swings with how many host cores happen
+        // to be free.
+        {"serial_sampled", sim::ExecMode::Serial, false, 1000},
         // Trace-compiled threaded-code engine: superblocks of the hot
         // loop body execute as pre-bound handler arrays.  The serial
-        // row against row [1] is the trace_speedup acceptance ratio.
-        runEngine("serial_traced", sim::ExecMode::Serial, true, 256,
-                  "throughput", 5, 0, true),
-        runEngine("parallel_traced", sim::ExecMode::Parallel, true, 256,
-                  "throughput", 5, 0, true),
+        // row against row [0] is the trace_speedup acceptance ratio.
+        {"serial_traced", sim::ExecMode::Serial, true},
+        {"parallel_traced", sim::ExecMode::Parallel, true},
     };
+    timeEngines(results);
 
     std::printf("\nExecution-engine comparison (loop kernel, grid 4)\n");
-    std::printf("%-12s %-22s %12s %12s %14s %14s\n", "kernel", "engine",
-                "ms/launch", "warp MIPS", "decode hits",
-                "decode misses");
+    std::printf("%-18s %12s %12s %14s %14s\n", "engine", "ms/launch",
+                "warp MIPS", "decode hits", "decode misses");
     for (const auto &r : results)
-        std::printf("%-12s %-22s %12.3f %12.2f %14llu %14llu\n",
-                    r.kernel, r.name, r.ms_per_launch, r.warp_mips,
+        std::printf("%-18s %12.3f %12.2f %14llu %14llu\n", r.name,
+                    r.ms_per_launch, r.warp_mips,
                     static_cast<unsigned long long>(r.decode_cache_hits),
                     static_cast<unsigned long long>(r.decode_cache_misses));
 
@@ -349,16 +347,14 @@ emitEngineComparison()
         const auto &r = results[i];
         std::fprintf(
             f,
-            "    {\"engine\": \"%s\", \"kernel\": \"%s\", "
-            "\"exec_mode\": \"%s\", "
-            "\"predecode\": %s, \"traces\": %s, \"ms_per_launch\": %.3f, "
+            "    {\"engine\": \"%s\", \"exec_mode\": \"%s\", "
+            "\"traces\": %s, \"ms_per_launch\": %.3f, "
             "\"warp_mips\": %.2f, \"warp_instrs\": %llu, "
             "\"decode_cache_hits\": %llu, "
             "\"decode_cache_misses\": %llu, \"pages_built\": %llu}%s\n",
-            r.name, r.kernel,
+            r.name,
             r.mode == sim::ExecMode::Serial ? "serial" : "parallel",
-            r.predecode ? "true" : "false", r.traces ? "true" : "false",
-            r.ms_per_launch, r.warp_mips,
+            r.traces ? "true" : "false", r.ms_per_launch, r.warp_mips,
             static_cast<unsigned long long>(r.warp_instrs),
             static_cast<unsigned long long>(r.decode_cache_hits),
             static_cast<unsigned long long>(r.decode_cache_misses),
@@ -369,24 +365,17 @@ emitEngineComparison()
         return b.ms_per_launch > 0 ? a.ms_per_launch / b.ms_per_launch
                                    : 0.0;
     };
-    double sp_default = ratio(results[0], results[3]);
-    double sp_pre_tp = ratio(results[0], results[1]);
-    double sp_pre_fe = ratio(results[4], results[5]);
-    double samp_ovh = ratio(results[6], results[3]);
-    double sp_trace = ratio(results[1], results[7]);
+    double samp_ovh = ratio(results[2], results[0]);
+    double sp_trace = ratio(results[0], results[3]);
     std::fprintf(f,
                  "  ],\n"
-                 "  \"speedup_default_vs_reference\": %.3f,\n"
-                 "  \"speedup_predecode_throughput\": %.3f,\n"
-                 "  \"speedup_predecode_frontend\": %.3f,\n"
                  "  \"sampling_overhead_throughput\": %.3f,\n"
                  "  \"trace_speedup\": %.3f\n}\n",
-                 sp_default, sp_pre_tp, sp_pre_fe, samp_ovh, sp_trace);
+                 samp_ovh, sp_trace);
     std::fclose(f);
-    std::printf("wrote %s (predecode speedup: %.2fx throughput kernel, "
-                "%.2fx frontend kernel; default engine vs reference: "
-                "%.2fx; trace speedup: %.2fx)\n",
-                path, sp_pre_tp, sp_pre_fe, sp_default, sp_trace);
+    std::printf("wrote %s (trace speedup: %.2fx; sampling overhead: "
+                "%.2fx)\n",
+                path, sp_trace, samp_ovh);
 }
 
 } // namespace

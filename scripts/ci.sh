@@ -57,7 +57,7 @@ for artifact in BENCH_micro_core.json BENCH_fig5_jit_overhead.json \
     fi
 done
 
-echo "==> bench guard: scheduler hot path vs committed baseline"
+echo "==> bench guard: same-run hot-path ratios + committed baselines"
 scripts/bench_guard.sh
 
 if [[ "$run_sanitize" == 1 ]]; then

@@ -67,8 +67,12 @@ struct DriverState {
 DriverState &
 state()
 {
-    static DriverState s;
-    return s;
+    // Leaked on purpose (like the obs singletons): a process that exits
+    // without resetDriver() stops the stream service from its static
+    // destructor, and the ops it drains still use these contexts and
+    // GPUs, so the state must outlive every static destructor.
+    static DriverState *s = new DriverState();
+    return *s;
 }
 
 /**

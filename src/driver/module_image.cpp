@@ -290,14 +290,29 @@ deserializeModule(const void *image, size_t size, ModuleData &out)
         g.size_bytes = r.u64();
         g.addr_slot = r.u32();
         g.init = r.bytes();
+        // placeModule copies the initialiser into the global and the
+        // global's 8-byte address into its bank-1 slot.
+        if (g.init.size() > g.size_bytes ||
+            uint64_t{g.addr_slot} + 8 > out.bank1.size())
+            return false;
         out.globals.push_back(std::move(g));
     }
 
+    const size_t ib = isa::instrBytes(out.family);
     uint32_t nfn = r.u32();
     for (uint32_t i = 0; i < nfn && r.ok(); ++i) {
         FuncImage f;
         if (!readFunc(r, f))
             return false;
+        // placeModule patches the CAL each relocation names.
+        for (const ptx::CallReloc &rl : f.relocs) {
+            isa::Instruction in;
+            const uint64_t at = uint64_t{rl.instr_index} * ib;
+            if (at + ib > f.code.size() ||
+                !isa::decode(out.family, f.code.data() + at, in) ||
+                in.op != isa::Opcode::CAL)
+                return false;
+        }
         out.functions.push_back(std::move(f));
     }
     return r.ok();

@@ -171,9 +171,10 @@ namespace detail {
 /**
  * The per-process stream service: owns one worker thread per simulated
  * GPU and all queue/scheduling state.  The driver starts it from
- * cuInit and stops it from resetDriver (teardown cancels every queued
- * op and waits for in-flight ones — the stream analogue of the
- * event_groups teardown contract).
+ * cuInit and stops it from resetDriver, or at static destruction when
+ * the process exits without one (teardown cancels every queued op and
+ * waits for in-flight ones — the stream analogue of the event_groups
+ * teardown contract).
  */
 class StreamService
 {
@@ -325,6 +326,10 @@ class StreamService
 
   private:
     StreamService() = default;
+    /** Static destruction of a process that exits without
+     *  resetDriver(): stop() joins the workers, so no joinable
+     *  std::thread is destroyed (which would std::terminate). */
+    ~StreamService() { stop(); }
 
     struct GpuQueue {
         std::vector<CUctx_st *> ctxs; ///< contexts bound to this GPU

@@ -5,7 +5,7 @@
  * The simulator's SM layer charges every event through a single
  * `EventSet` embedded in its per-SM stats shard, so event values obey
  * the same determinism contract as the rest of the launch statistics:
- * bit-identical across {serial,parallel} x {byte-decode,predecode}
+ * bit-identical across {serial,parallel} x {traces off,on}
  * (see docs/execution_pipeline.md).  Counting is *free-running and
  * strictly passive* — events never charge simulated cycles, so
  * enabling any number of event groups changes the cycle count by

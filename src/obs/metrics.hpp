@@ -13,9 +13,9 @@
  *
  * Counters carry a `Stability` tag: `Exact` values are bit-identical
  * across the four engine configurations ({serial, parallel} x
- * {byte-decode, predecode}; see docs/execution_pipeline.md), while
+ * {traces off, on}; see docs/execution_pipeline.md), while
  * `Volatile` values (wall-clock timings, decode-cache hit rates) are
- * host- or engine-dependent.  `toJson(true)` omits the volatile ones,
+ * host-dependent or describe the simulator rather than the GPU.  `toJson(true)` omits the volatile ones,
  * which is what lets tests assert that two engine configurations
  * produced byte-identical metrics snapshots.
  */
@@ -39,7 +39,7 @@ namespace nvbit::obs {
 
 /** How reproducible a counter's value is across engine configs. */
 enum class Stability {
-    /** Bit-identical across {serial,parallel} x {decode,predecode}. */
+    /** Bit-identical across {serial,parallel} x {traces off,on}. */
     Exact,
     /** Host-dependent (wall-clock) or engine-dependent (cache luck). */
     Volatile,

@@ -7,7 +7,7 @@
  * emits one `PcSample` record per period crossing of the per-SM cycle
  * counter.  Because the counter basis is the deterministic per-SM
  * cycle stream (identical across {serial,parallel} x
- * {byte-decode,predecode}; see docs/execution_pipeline.md), the sample
+ * {traces off,on}; see docs/execution_pipeline.md), the sample
  * streams are bit-identical across all four engine configurations.
  *
  * The `Profiler` singleton aggregates those records into per-PC /

@@ -31,7 +31,7 @@
  * is_write) and keep the canonically smallest execution context per
  * key, and dynamic violation totals are order-independent sums — so
  * both the finding set and the `sancheck.*` counters are bit-identical
- * across all six engine configurations.  Passivity: a quiet run (no
+ * across all four engine configurations.  Passivity: a quiet run (no
  * violations) creates no counters and perturbs nothing; checks never
  * charge simulated cycles.
  */

@@ -15,14 +15,16 @@ const std::vector<uint64_t> &
 sloLatencyBounds()
 {
     // 1-2-5 geometric ladder, 1us .. 10s.  Fixed for all tenants and
-    // all runs: the layout is part of the metric's identity.
-    static const std::vector<uint64_t> bounds = {
+    // all runs: the layout is part of the metric's identity.  Leaked
+    // (like the counter tables): stream workers still record ops while
+    // the stream service drains at static destruction.
+    static const std::vector<uint64_t> *bounds = new std::vector<uint64_t>{
         1,      2,      5,      10,      20,      50,      100,
         200,    500,    1000,   2000,    5000,    10000,   20000,
         50000,  100000, 200000, 500000,  1000000, 2000000, 5000000,
         10000000,
     };
-    return bounds;
+    return *bounds;
 }
 
 namespace {

@@ -60,8 +60,8 @@ struct GpuConfig {
      * Per-launch cycle watchdog: a launch whose slowest SM exceeds this
      * many cycles aborts with a WatchdogTimeout trap instead of hanging
      * the host (e.g. a barrier-free infinite loop).  Deterministic
-     * across serial/parallel and byte-decode/predecode engines because
-     * each SM's cycle stream is identical in all of them.
+     * across every engine configuration because each SM's cycle stream
+     * is identical in all of them.
      * Env override: NVBIT_SIM_WATCHDOG_CYCLES.
      */
     uint64_t watchdog_cycles = 1ull << 32;
@@ -71,7 +71,7 @@ struct GpuConfig {
      * enabled, each SM emits one (pc, stall reason, cycle) record per
      * resident warp every time its cycle counter crosses a multiple of
      * the period.  Counter-based, so the sample stream is bit-identical
-     * across {serial,parallel} x {decode,predecode} engines.
+     * across {serial,parallel} x {traces off,on} engines.
      * Env override: NVBIT_SIM_PC_SAMPLING=<period> (0 forces off, and
      * beats any period a tool requested via obs::Profiler).
      */
@@ -83,7 +83,7 @@ struct GpuConfig {
      * initcheck=8); 0 disables the sanitizer entirely (no shadow
      * state is even allocated).  Checks are strictly passive — zero
      * simulated-cycle delta, exact counters untouched on quiet runs —
-     * and their findings are bit-identical across all six engine
+     * and their findings are bit-identical across all four engine
      * configurations (docs/observability.md, "Correctness checking").
      * Env override: NVBIT_SIM_SANCHECK=<check,...>|all|off (beats any
      * mask a tool requested via obs::Sanitizer).
@@ -110,16 +110,16 @@ struct GpuConfig {
      */
     ExecMode exec_mode = ExecMode::Parallel;
     /**
-     * Fetch decoded instructions from the shared predecode cache
-     * instead of byte-decoding on every dynamic instruction.
-     * Env override: NVBIT_SIM_PREDECODE=0|1.
+     * Instructions are always fetched from the shared predecode cache
+     * (sim/predecode.hpp).  Kept as a constant so engine fingerprints
+     * can still report it.
      */
-    bool use_predecode = true;
+    static constexpr bool use_predecode = true;
     /**
      * Execute hot straight-line superblocks through the trace engine
      * (trace_compiler/trace_cache) instead of per-instruction dispatch.
-     * Bit-identical to the per-instruction engines on uninstrumented
-     * code; orthogonal to both exec_mode and use_predecode.
+     * Bit-identical to the per-instruction engine on uninstrumented
+     * code; orthogonal to exec_mode.
      * Env override: NVBIT_SIM_TRACES=0|1.
      */
     bool use_traces = false;

@@ -19,7 +19,7 @@ namespace nvbit::sim {
 
 namespace {
 
-/** Apply NVBIT_SIM_EXEC / NVBIT_SIM_PREDECODE overrides when present. */
+/** Apply the NVBIT_SIM_* engine and device overrides when present. */
 void
 applyEnvOverrides(GpuConfig &cfg)
 {
@@ -31,8 +31,6 @@ applyEnvOverrides(GpuConfig &cfg)
         else
             warn("ignoring NVBIT_SIM_EXEC=%s (want serial|parallel)", e);
     }
-    if (const char *p = std::getenv("NVBIT_SIM_PREDECODE"))
-        cfg.use_predecode = std::strcmp(p, "0") != 0;
     if (const char *t = std::getenv("NVBIT_SIM_TRACES"))
         cfg.use_traces = std::strcmp(t, "0") != 0;
     if (const char *c = std::getenv("NVBIT_SIM_COLD_LAUNCH"))
@@ -138,8 +136,7 @@ GpuDevice::clearInlineProbes(mem::DevPtr addr, size_t bytes)
 void
 GpuDevice::predecodeRange(mem::DevPtr addr, size_t bytes)
 {
-    if (cfg_.use_predecode)
-        code_cache_->prewarm(addr, bytes);
+    code_cache_->prewarm(addr, bytes);
 }
 
 unsigned
@@ -353,14 +350,13 @@ std::vector<std::unique_ptr<SmExecutor>>
 GpuDevice::makeExecutors()
 {
     const unsigned nsm = cfg_.num_sms;
-    CodeCache *cc = cfg_.use_predecode ? code_cache_.get() : nullptr;
     TraceCache *tc = cfg_.use_traces ? trace_cache_.get() : nullptr;
     const bool functional = fidelity_ == Fidelity::Functional;
     std::vector<std::unique_ptr<SmExecutor>> execs;
     execs.reserve(nsm);
     for (unsigned sm = 0; sm < nsm; ++sm)
         execs.push_back(std::make_unique<SmExecutor>(
-            sm, cfg_, *memory_, caches_, cc, tc, functional));
+            sm, cfg_, *memory_, caches_, *code_cache_, tc, functional));
     return execs;
 }
 
@@ -525,7 +521,8 @@ GpuDevice::publishLaunch(
                 stats.global_mem_warp_instrs);
         txn.add("sim.l1_misses", stats.l1_misses);
         txn.add("sim.l2_misses", stats.l2_misses);
-        // Engine-dependent (predecode on/off changes them), Volatile.
+        // Volatile: they describe the simulator's fetch path, not the
+        // simulated GPU.
         txn.add("sim.decode_cache_hits", stats.decode_cache_hits,
                 obs::Stability::Volatile);
         txn.add("sim.decode_cache_misses", stats.decode_cache_misses,

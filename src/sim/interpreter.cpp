@@ -9,6 +9,7 @@
 #include "common/logging.hpp"
 #include "mem/shadow_memory.hpp"
 #include "obs/sanitizer.hpp"
+#include "sim/lane_ops.hpp"
 
 namespace nvbit::sim {
 
@@ -17,42 +18,6 @@ using isa::Instruction;
 using isa::Opcode;
 
 namespace {
-
-float
-asF32(uint32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return f;
-}
-
-uint32_t
-asBits(float f)
-{
-    uint32_t b;
-    std::memcpy(&b, &f, sizeof(b));
-    return b;
-}
-
-/** f32 -> integer conversion with defined saturation semantics. */
-int64_t
-f2iClamp(float f, bool is_signed)
-{
-    if (std::isnan(f))
-        return 0;
-    if (is_signed) {
-        if (f >= 2147483647.0f)
-            return 2147483647;
-        if (f <= -2147483648.0f)
-            return -2147483648ll;
-        return static_cast<int64_t>(f);
-    }
-    if (f >= 4294967295.0f)
-        return 4294967295ll;
-    if (f <= 0.0f)
-        return 0;
-    return static_cast<int64_t>(f);
-}
 
 uint64_t
 atomApply(isa::AtomOp op, DType dt, uint64_t old_v, uint64_t b, uint64_t c)
@@ -102,34 +67,6 @@ atomApply(isa::AtomOp op, DType dt, uint64_t old_v, uint64_t b, uint64_t c)
         return old_v ^ b;
     }
     return old_v;
-}
-
-bool
-cmpApply(isa::CmpOp c, uint64_t a, uint64_t b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-bool
-cmpApplySigned(isa::CmpOp c, int64_t a, int64_t b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
 }
 
 /**
@@ -769,18 +706,9 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         break;
       case Opcode::MUFU:
         forEachExec([&](ThreadCtx &t, unsigned) {
-            float a = asF32(readReg(t, in.ra));
-            float r = 0.0f;
-            switch (isa::modGetMufu(in.mod)) {
-              case isa::MufuOp::RCP: r = 1.0f / a; break;
-              case isa::MufuOp::SQRT: r = std::sqrt(a); break;
-              case isa::MufuOp::RSQ: r = 1.0f / std::sqrt(a); break;
-              case isa::MufuOp::EX2: r = std::exp2(a); break;
-              case isa::MufuOp::LG2: r = std::log2(a); break;
-              case isa::MufuOp::SIN: r = std::sin(a); break;
-              case isa::MufuOp::COS: r = std::cos(a); break;
-            }
-            writeReg(t, in.rd, asBits(r));
+            writeReg(t, in.rd,
+                     asBits(mufuApply(isa::modGetMufu(in.mod),
+                                      asF32(readReg(t, in.ra)))));
         });
         break;
       case Opcode::I2F:
@@ -837,16 +765,8 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
             float b = imm_setp
                           ? static_cast<float>(in.imm)
                           : asF32(readReg(t, in.rb));
-            bool r = false;
-            switch (isa::modGetCmp(in.mod)) {
-              case isa::CmpOp::LT: r = a < b; break;
-              case isa::CmpOp::EQ: r = a == b; break;
-              case isa::CmpOp::LE: r = a <= b; break;
-              case isa::CmpOp::GT: r = a > b; break;
-              case isa::CmpOp::NE: r = a != b; break;
-              case isa::CmpOp::GE: r = a >= b; break;
-            }
-            writePred(t, in.rd & 0x7, r);
+            writePred(t, in.rd & 0x7,
+                      fcmpApply(isa::modGetCmp(in.mod), a, b));
         });
         break;
       }

@@ -79,8 +79,8 @@ memSpaceName(MemSpace s)
  * code, pc and fault-address fields at the throw site; the SM layer
  * annotates the execution context (warp, active mask, CTA, SM) as the
  * exception propagates, so a fully attributed record reaches the
- * driver regardless of which engine (serial/parallel, byte-decode/
- * predecode) was running.
+ * driver regardless of which engine (serial/parallel, traced or not)
+ * was running.
  */
 struct DeviceException : std::exception {
     TrapCode code = TrapCode::None;

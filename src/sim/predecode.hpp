@@ -17,8 +17,8 @@
  * writes its own instructions must request an explicit flush, exactly
  * as on the real device.
  */
-#ifndef NVBIT_SIM_PREDECODE_HPP
-#define NVBIT_SIM_PREDECODE_HPP
+#ifndef NVBIT_SIM_CODE_CACHE_HPP
+#define NVBIT_SIM_CODE_CACHE_HPP
 
 #include <atomic>
 #include <cstdint>
@@ -127,4 +127,4 @@ class CodeCache
 
 } // namespace nvbit::sim
 
-#endif // NVBIT_SIM_PREDECODE_HPP
+#endif // NVBIT_SIM_CODE_CACHE_HPP

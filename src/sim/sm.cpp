@@ -12,7 +12,7 @@ namespace nvbit::sim {
 
 SmExecutor::SmExecutor(unsigned sm, const GpuConfig &cfg,
                        mem::DeviceMemory &mem, CacheHierarchy &caches,
-                       CodeCache *code_cache, TraceCache *trace_cache,
+                       CodeCache &code_cache, TraceCache *trace_cache,
                        bool functional)
     : sm_(sm), cfg_(cfg), mem_(mem), caches_(caches),
       code_cache_(code_cache), trace_cache_(trace_cache),
@@ -45,10 +45,6 @@ SmExecutor::byteDecode(uint64_t pc, isa::Instruction &scratch)
 const isa::Instruction *
 SmExecutor::fetch(uint64_t pc, isa::Instruction &scratch)
 {
-    if (!code_cache_) {
-        ++shard_.decode_cache_misses;
-        return byteDecode(pc, scratch);
-    }
     if ((pc & (ib_ - 1)) != 0) {
         // Misaligned PC (e.g. a BRX through a garbage register): the
         // page index would be wrong, so fall back to byte decoding.
@@ -59,7 +55,7 @@ SmExecutor::fetch(uint64_t pc, isa::Instruction &scratch)
     if (!page || pc < page->base ||
         pc >= page->base + CodeCache::kPageBytes) {
         ++shard_.decode_cache_misses;
-        page = code_cache_->acquire(pc);
+        page = code_cache_.acquire(pc);
         cached_page_ = page;
         if (!page)
             throw DeviceException(TrapCode::InvalidPc,
@@ -369,8 +365,8 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
                 "launch exceeded the warp-instruction watchdog", minpc);
         }
         // Per-SM cycle streams are identical across serial/parallel
-        // and byte-decode/predecode engines, so this fires on the
-        // same instruction in all four configurations.
+        // and traced/untraced engines, so this fires on the same
+        // instruction in all four configurations.
         if (cycle_total_ + cta_cycles_ > cfg_.watchdog_cycles) {
             throw DeviceException(
                 TrapCode::WatchdogTimeout,

@@ -133,7 +133,7 @@ class SmExecutor : public MemModel
      * counts match a full-fidelity run exactly.
      */
     SmExecutor(unsigned sm, const GpuConfig &cfg, mem::DeviceMemory &mem,
-               CacheHierarchy &caches, CodeCache *code_cache,
+               CacheHierarchy &caches, CodeCache &code_cache,
                TraceCache *trace_cache = nullptr, bool functional = false);
 
     /**
@@ -295,6 +295,7 @@ class SmExecutor : public MemModel
     const Trace *lookupTrace(uint64_t pc);
 
     const isa::Instruction *fetch(uint64_t pc, isa::Instruction &scratch);
+    /** Decode one instruction from memory (misaligned-pc fallback). */
     const isa::Instruction *byteDecode(uint64_t pc,
                                        isa::Instruction &scratch);
 
@@ -342,7 +343,7 @@ class SmExecutor : public MemModel
     const GpuConfig &cfg_;
     mem::DeviceMemory &mem_;
     CacheHierarchy &caches_;
-    CodeCache *code_cache_; ///< nullptr in byte-decode mode
+    CodeCache &code_cache_;
     TraceCache *trace_cache_; ///< nullptr when the trace engine is off
     size_t ib_;
     unsigned ib_shift_; ///< log2(ib_): page index by shift, not div

@@ -74,7 +74,7 @@ struct LaunchStats {
     /** Instruction fetches served by an SM's cached predecoded page. */
     uint64_t decode_cache_hits = 0;
     /** Instruction fetches that had to consult the shared code cache
-     *  (page-pointer change, byte-decode mode, or misaligned fetch). */
+     *  (page-pointer change) or byte-decode (misaligned fetch). */
     uint64_t decode_cache_misses = 0;
 
     /** Merge another launch's stats into this one. */

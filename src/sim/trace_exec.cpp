@@ -32,107 +32,11 @@
 #include <cstring>
 
 #include "common/logging.hpp"
+#include "sim/lane_ops.hpp"
 
 namespace nvbit::sim {
 
 namespace {
-
-// Float helpers mirror interpreter.cpp's (anonymous there) exactly;
-// the strip handlers must be bit-identical to the interpreter switch.
-
-float
-asF32(uint32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return f;
-}
-
-uint32_t
-asBits(float f)
-{
-    uint32_t b;
-    std::memcpy(&b, &f, sizeof(b));
-    return b;
-}
-
-int64_t
-f2iClamp(float f, bool is_signed)
-{
-    if (std::isnan(f))
-        return 0;
-    if (is_signed) {
-        if (f >= 2147483647.0f)
-            return 2147483647;
-        if (f <= -2147483648.0f)
-            return -2147483648ll;
-        return static_cast<int64_t>(f);
-    }
-    if (f >= 4294967295.0f)
-        return 4294967295ll;
-    if (f <= 0.0f)
-        return 0;
-    return static_cast<int64_t>(f);
-}
-
-bool
-cmpApply(isa::CmpOp c, uint64_t a, uint64_t b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-bool
-cmpApplySigned(isa::CmpOp c, int64_t a, int64_t b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-/** FSETP compares in float (NaN semantics differ from integer casts). */
-bool
-fcmpApply(isa::CmpOp c, float a, float b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-float
-mufuApply(isa::MufuOp op, float a)
-{
-    float r = 0.0f;
-    switch (op) {
-      case isa::MufuOp::RCP: r = 1.0f / a; break;
-      case isa::MufuOp::SQRT: r = std::sqrt(a); break;
-      case isa::MufuOp::RSQ: r = 1.0f / std::sqrt(a); break;
-      case isa::MufuOp::EX2: r = std::exp2(a); break;
-      case isa::MufuOp::LG2: r = std::log2(a); break;
-      case isa::MufuOp::SIN: r = std::sin(a); break;
-      case isa::MufuOp::COS: r = std::cos(a); break;
-    }
-    return r;
-}
 
 inline void
 setPredBit(uint8_t &preds, uint8_t p, bool v)
@@ -380,17 +284,14 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
         isa::Instruction scratch;
         (void)fetch(tr.entry_pc, scratch);
         bool head = true;
-        // Later slots fetch from the same (page-bounded) trace: a hit
-        // per slot in predecode mode, a byte-decode miss otherwise.
+        // Later slots fetch from the same (page-bounded) trace, which
+        // the per-instruction path counts as a cached-page hit.
         auto fetchTick = [&]() {
             if (head) {
                 head = false;
                 return;
             }
-            if (code_cache_)
-                ++shard_.decode_cache_hits;
-            else
-                ++shard_.decode_cache_misses;
+            ++shard_.decode_cache_hits;
         };
 
         for (const TraceEntry &e : tr.entries) {

@@ -372,7 +372,6 @@ SancheckCampaign::runOne(SeededBug bug) const
     sim::GpuConfig cfg;
     cfg.num_sms = 2;
     cfg.exec_mode = cfg_.exec_mode;
-    cfg.use_predecode = cfg_.use_predecode;
     cfg.use_traces = cfg_.use_traces;
     cfg.sancheck_mask = cfg_.mask;
     setDeviceConfig(cfg);

@@ -126,7 +126,6 @@ class SancheckCampaign
         uint32_t mask = obs::kSancheckAll;
         /** Engine configuration the experiments run under. */
         sim::ExecMode exec_mode = sim::ExecMode::Parallel;
-        bool use_predecode = true;
         bool use_traces = false;
     };
 

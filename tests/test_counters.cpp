@@ -4,8 +4,8 @@
  *
  * Groups:
  *  1. Determinism: event sets are bit-identical across all four engine
- *     configurations ({serial, parallel} x {byte-decode, predecode})
- *     on every tier-1 workload.
+ *     configurations (tests/engine_matrix.hpp) on every tier-1
+ *     workload.
  *  2. Passivity: enabling every event group changes the simulated
  *     cycle count (and device memory) by exactly zero.
  *  3. Event-group API semantics: error codes, accumulation across
@@ -30,6 +30,7 @@
 #include "driver/api.hpp"
 #include "driver/event_groups.hpp"
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "isa/abi.hpp"
 #include "obs/counters.hpp"
 #include "obs/metrics.hpp"
@@ -88,14 +89,11 @@ struct EventRun {
 };
 
 EventRun
-runForEvents(const std::string &param, sim::ExecMode mode, bool predecode,
-             bool traces = false)
+runForEvents(const std::string &param, const EngineConfig &e)
 {
     cudrv::resetDriver();
     sim::GpuConfig cfg;
-    cfg.exec_mode = mode;
-    cfg.use_predecode = predecode;
-    cfg.use_traces = traces;
+    e.apply(cfg);
     cudrv::setDeviceConfig(cfg);
     cudrv::checkCu(cudrv::cuInit(0), "init");
     cudrv::CUcontext ctx = nullptr;
@@ -118,46 +116,23 @@ runForEvents(const std::string &param, sim::ExecMode mode, bool predecode,
 class EventDeterminismTest : public ::testing::TestWithParam<std::string>
 {
   protected:
-    void
-    SetUp() override
-    {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
-    }
+    void SetUp() override { clearEngineEnv(); }
     void TearDown() override { cudrv::resetDriver(); }
 };
 
 TEST_P(EventDeterminismTest, EventsIdenticalAcrossEngineConfigs)
 {
-    auto base = runForEvents(GetParam(), sim::ExecMode::Serial, false);
-    auto ser_pre = runForEvents(GetParam(), sim::ExecMode::Serial, true);
-    auto par_byte =
-        runForEvents(GetParam(), sim::ExecMode::Parallel, false);
-    auto par_pre =
-        runForEvents(GetParam(), sim::ExecMode::Parallel, true);
-    auto ser_tr =
-        runForEvents(GetParam(), sim::ExecMode::Serial, true, true);
-    auto par_tr =
-        runForEvents(GetParam(), sim::ExecMode::Parallel, true, true);
-
+    const EventRun base = runForEvents(GetParam(), kEngineMatrix[0]);
     EXPECT_FALSE(base.events.empty());
-    for (size_t i = 0; i < obs::kNumHwEvents; ++i) {
-        SCOPED_TRACE(obs::eventName(static_cast<HwEvent>(i)));
-        EXPECT_EQ(base.events.counts[i], ser_pre.events.counts[i]);
-        EXPECT_EQ(base.events.counts[i], par_byte.events.counts[i]);
-        EXPECT_EQ(base.events.counts[i], par_pre.events.counts[i]);
-        EXPECT_EQ(base.events.counts[i], ser_tr.events.counts[i]);
-        EXPECT_EQ(base.events.counts[i], par_tr.events.counts[i]);
+    for (const EngineConfig &e : std::span(kEngineMatrix).subspan(1)) {
+        SCOPED_TRACE(e.name);
+        const EventRun r = runForEvents(GetParam(), e);
+        for (size_t i = 0; i < obs::kNumHwEvents; ++i)
+            EXPECT_EQ(base.events.counts[i], r.events.counts[i])
+                << obs::eventName(static_cast<HwEvent>(i));
+        EXPECT_EQ(base.cycles, r.cycles);
+        EXPECT_EQ(base.mem_hash, r.mem_hash);
     }
-    EXPECT_EQ(base.cycles, ser_pre.cycles);
-    EXPECT_EQ(base.cycles, par_byte.cycles);
-    EXPECT_EQ(base.cycles, par_pre.cycles);
-    EXPECT_EQ(base.cycles, ser_tr.cycles);
-    EXPECT_EQ(base.cycles, par_tr.cycles);
-    EXPECT_EQ(base.mem_hash, par_pre.mem_hash);
-    EXPECT_EQ(base.mem_hash, ser_tr.mem_hash);
-    EXPECT_EQ(base.mem_hash, par_tr.mem_hash);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, EventDeterminismTest,
@@ -173,9 +148,7 @@ class CounterDriverTest : public ::testing::Test
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
         cudrv::resetDriver();
     }
     void TearDown() override { cudrv::resetDriver(); }
@@ -409,9 +382,7 @@ class CounterKernelTest : public ::testing::Test
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
         sim::GpuConfig cfg;
         cfg.num_sms = 4;
         cfg.mem_bytes = 8 << 20;
@@ -626,9 +597,7 @@ class DifferentialAgreementTest
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
         cudrv::resetDriver();
     }
     void TearDown() override { cudrv::resetDriver(); }

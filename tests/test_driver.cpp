@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "driver/callback.hpp"
@@ -226,6 +227,97 @@ TEST_F(DriverTest, TruncatedBinaryImageRejected)
     CUmodule mod;
     EXPECT_EQ(cuModuleLoadData(&mod, image.data(), image.size()),
               CUDA_ERROR_INVALID_IMAGE);
+}
+
+/** A module with a global and a call relocation, the two kinds of
+ *  field placement patches. */
+const char *kGlobalAndCall = R"(
+.global .u32 counter;
+.func (.param .u32 out) triple(.param .u32 x)
+{
+    .reg .u32 %a<4>;
+    ld.param.u32 %a1, [x];
+    mul.lo.u32 %a2, %a1, 3;
+    st.param.u32 [out], %a2;
+    ret;
+}
+.visible .entry k()
+{
+    .reg .u32 %r<4>;
+    .reg .u64 %rd<2>;
+    mov.u32 %r1, %tid.x;
+    call (%r2), triple, (%r1);
+    mov.u64 %rd1, counter;
+    atom.global.add.u32 %r3, [%rd1], %r2;
+    exit;
+}
+)";
+
+class MalformedImageTest : public DriverTest
+{
+  protected:
+    /**
+     * The intact image of kGlobalAndCall loads; after @p corrupt edits
+     * one field it must be rejected as CUDA_ERROR_INVALID_IMAGE, with
+     * the context still able to load and run a kernel.
+     */
+    void
+    expectRejected(const std::function<void(ptx::CompiledModule &)> &corrupt)
+    {
+        ptx::CompiledModule cm =
+            ptx::compile(kGlobalAndCall, device().family());
+        std::vector<uint8_t> intact = serializeModule(cm);
+        CUmodule mod = nullptr;
+        ASSERT_EQ(cuModuleLoadData(&mod, intact.data(), intact.size()),
+                  CUDA_SUCCESS);
+
+        corrupt(cm);
+        std::vector<uint8_t> image = serializeModule(cm);
+        EXPECT_EQ(cuModuleLoadData(&mod, image.data(), image.size()),
+                  CUDA_ERROR_INVALID_IMAGE);
+
+        ASSERT_EQ(cuModuleLoadData(&mod, kVecAdd, 0), CUDA_SUCCESS);
+        CUfunction fn = nullptr;
+        ASSERT_EQ(cuModuleGetFunction(&fn, mod, "vecadd"), CUDA_SUCCESS);
+        uint32_t n = 128;
+        std::vector<float> host(n, 1.0f);
+        CUdeviceptr d = 0;
+        ASSERT_EQ(cuMemAlloc(&d, n * 4), CUDA_SUCCESS);
+        ASSERT_EQ(cuMemcpyHtoD(d, host.data(), n * 4), CUDA_SUCCESS);
+        void *params[] = {&d, &d, &d, &n};
+        ASSERT_EQ(cuLaunchKernel(fn, 1, 1, 1, n, 1, 1, 0, nullptr, params,
+                                 nullptr),
+                  CUDA_SUCCESS);
+        ASSERT_EQ(cuMemcpyDtoH(host.data(), d, n * 4), CUDA_SUCCESS);
+        EXPECT_FLOAT_EQ(host[0], 2.0f);
+        EXPECT_FLOAT_EQ(host[n - 1], 2.0f);
+    }
+};
+
+TEST_F(MalformedImageTest, GlobalInitialiserLongerThanGlobalRejected)
+{
+    expectRejected([](ptx::CompiledModule &cm) {
+        ptx::GlobalVar &g = cm.globals.at(0);
+        g.init.assign(g.size_bytes + 4096, 0xAB);
+    });
+}
+
+TEST_F(MalformedImageTest, GlobalAddressSlotPastBank1Rejected)
+{
+    expectRejected([](ptx::CompiledModule &cm) {
+        cm.globals.at(0).addr_slot =
+            static_cast<uint32_t>(cm.bank1.size());
+    });
+}
+
+TEST_F(MalformedImageTest, RelocationOutsideFunctionCodeRejected)
+{
+    expectRejected([](ptx::CompiledModule &cm) {
+        for (ptx::CompiledFunction &f : cm.functions)
+            if (!f.relocs.empty())
+                f.relocs[0].instr_index =
+                    static_cast<uint32_t>(f.code.size());
+    });
 }
 
 TEST_F(DriverTest, LaunchValidation)

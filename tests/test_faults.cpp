@@ -4,9 +4,8 @@
  *
  *  1. Differential trap matrix: every trap kind must be reported
  *     identically — code, pc, fault address, execution context, and
- *     earliest-trapping-CTA-in-grid-order selection — across all four
- *     engine configurations ({serial, parallel} x {byte-decode,
- *     predecode}).
+ *     earliest-trapping-CTA-in-grid-order selection — across the
+ *     untraced engine configurations (tests/engine_matrix.hpp).
  *  2. Driver semantics: sticky error contexts, cuCtxGetExceptionInfo,
  *     cuDevicePrimaryCtxReset recovery, launch-dimension validation,
  *     the cycle watchdog (config + env override), cuGetErrorString.
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "driver/api.hpp"
+#include "engine_matrix.hpp"
 #include "isa/abi.hpp"
 #include "sim/gpu.hpp"
 #include "tools/common.hpp"
@@ -36,18 +36,6 @@ using isa::Opcode;
 using sim::DeviceException;
 using sim::TrapCode;
 
-struct EngineCfg {
-    sim::ExecMode mode;
-    bool predecode;
-};
-
-constexpr EngineCfg kEngines[] = {
-    {sim::ExecMode::Serial, false},
-    {sim::ExecMode::Serial, true},
-    {sim::ExecMode::Parallel, false},
-    {sim::ExecMode::Parallel, true},
-};
-
 // ---------------------------------------------------------------------
 // 1. Differential trap matrix on a bare device
 // ---------------------------------------------------------------------
@@ -58,8 +46,7 @@ class TrapMatrixTest : public ::testing::Test
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
+        clearEngineEnv();
         unsetenv("NVBIT_SIM_WATCHDOG_CYCLES");
     }
 
@@ -77,13 +64,12 @@ class TrapMatrixTest : public ::testing::Test
     }
 
     DeviceException
-    runTrap(const EngineCfg &e, const ProgFn &make, uint64_t watchdog)
+    runTrap(const EngineConfig &e, const ProgFn &make, uint64_t watchdog)
     {
         sim::GpuConfig cfg;
         cfg.num_sms = 2;
         cfg.mem_bytes = 8 << 20;
-        cfg.exec_mode = e.mode;
-        cfg.use_predecode = e.predecode;
+        e.apply(cfg);
         if (watchdog)
             cfg.watchdog_cycles = watchdog;
         sim::GpuDevice gpu(cfg);
@@ -114,12 +100,13 @@ class TrapMatrixTest : public ::testing::Test
         EXPECT_EQ(a.stuck_warps, b.stuck_warps);
     }
 
-    /** Run under all four engines; assert bit-identical trap records. */
+    /** Run under both untraced engines; assert bit-identical trap
+     *  records. */
     std::vector<DeviceException>
     runAll(const ProgFn &make, uint64_t watchdog = 0)
     {
         std::vector<DeviceException> v;
-        for (const EngineCfg &e : kEngines)
+        for (const EngineConfig &e : kUntracedEngines)
             v.push_back(runTrap(e, make, watchdog));
         for (size_t i = 1; i < v.size(); ++i)
             expectSameTrap(v[0], v[i]);
@@ -252,7 +239,7 @@ TEST_F(TrapMatrixTest, CycleWatchdogFiresDeterministically)
     };
     auto v = runAll(make, /*watchdog=*/20000);
     EXPECT_EQ(v[0].code, TrapCode::WatchdogTimeout);
-    // Same pc in all four engines: the cycle streams are identical, so
+    // Same pc in every engine: the cycle streams are identical, so
     // the watchdog trips at the same dynamic instruction everywhere.
     EXPECT_NE(v.back().pc, 0u);
 }
@@ -337,21 +324,19 @@ class FaultDriverTest : public ::testing::Test
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
+        clearEngineEnv();
         unsetenv("NVBIT_SIM_WATCHDOG_CYCLES");
         resetDriver();
     }
     void TearDown() override { resetDriver(); }
 
     CUcontext
-    initCtx(sim::ExecMode mode, bool predecode, uint64_t watchdog = 0)
+    initCtx(const EngineConfig &e, uint64_t watchdog = 0)
     {
         resetDriver();
         sim::GpuConfig cfg;
         cfg.num_sms = 2;
-        cfg.exec_mode = mode;
-        cfg.use_predecode = predecode;
+        e.apply(cfg);
         if (watchdog)
             cfg.watchdog_cycles = watchdog;
         setDeviceConfig(cfg);
@@ -377,11 +362,11 @@ class FaultDriverTest : public ::testing::Test
     };
 
     DrvTrap
-    launchTrap(const EngineCfg &e, const char *ptx, const char *name,
+    launchTrap(const EngineConfig &e, const char *ptx, const char *name,
                uint32_t grid, uint32_t block, size_t alloc_bytes,
                uint64_t watchdog = 0)
     {
-        CUcontext ctx = initCtx(e.mode, e.predecode, watchdog);
+        CUcontext ctx = initCtx(e, watchdog);
         CUfunction fn = loadKernel(ptx, name);
         CUdeviceptr d = 0;
         uint32_t stride = kOobStride;
@@ -402,7 +387,7 @@ class FaultDriverTest : public ::testing::Test
 
 TEST_F(FaultDriverTest, OobStorePoisonsContextUntilReset)
 {
-    CUcontext ctx = initCtx(sim::ExecMode::Parallel, true);
+    CUcontext ctx = initCtx(kDefaultEngine);
     CUfunction fn = loadKernel(kOobStorePtx, "oobk");
     CUdeviceptr out = 0;
     checkCu(cuMemAlloc(&out, 8), "alloc");
@@ -456,7 +441,7 @@ TEST_F(FaultDriverTest, OobStorePoisonsContextUntilReset)
 TEST_F(FaultDriverTest, ExceptionInfoIdenticalAcrossEngines)
 {
     std::vector<DrvTrap> v;
-    for (const EngineCfg &e : kEngines)
+    for (const EngineConfig &e : kUntracedEngines)
         v.push_back(launchTrap(e, kOobStorePtx, "oobk", 4, 1, 8));
     for (const DrvTrap &t : v) {
         EXPECT_EQ(t.status, CUDA_ERROR_ILLEGAL_ADDRESS);
@@ -473,7 +458,7 @@ TEST_F(FaultDriverTest, ExceptionInfoIdenticalAcrossEngines)
 TEST_F(FaultDriverTest, BarrierDeadlockReportsBarrierPcAndStuckWarps)
 {
     std::vector<DrvTrap> v;
-    for (const EngineCfg &e : kEngines)
+    for (const EngineConfig &e : kUntracedEngines)
         v.push_back(launchTrap(e, kBarrierDeadlockPtx, "bdl", 1, 96, 0));
     for (const DrvTrap &t : v) {
         EXPECT_EQ(t.status, CUDA_ERROR_LAUNCH_FAILED);
@@ -494,7 +479,7 @@ TEST_F(FaultDriverTest, BarrierReleasesWhenWarpExitsEarly)
 {
     // Early-exited threads don't participate in a barrier (hardware
     // semantics): same-pc waiters must release, not deadlock.
-    for (const EngineCfg &e : kEngines) {
+    for (const EngineConfig &e : kUntracedEngines) {
         DrvTrap t = launchTrap(e, kBarrierEarlyExitPtx, "bee", 1, 96, 0);
         EXPECT_EQ(t.status, CUDA_SUCCESS);
         EXPECT_FALSE(t.info.valid);
@@ -504,7 +489,7 @@ TEST_F(FaultDriverTest, BarrierReleasesWhenWarpExitsEarly)
 TEST_F(FaultDriverTest, WatchdogTerminatesBarrierFreeInfiniteLoop)
 {
     std::vector<DrvTrap> v;
-    for (const EngineCfg &e : kEngines)
+    for (const EngineConfig &e : kUntracedEngines)
         v.push_back(launchTrap(e, kInfiniteLoopPtx, "loopk", 1, 32, 0,
                                /*watchdog=*/200000));
     for (const DrvTrap &t : v) {
@@ -518,7 +503,7 @@ TEST_F(FaultDriverTest, WatchdogTerminatesBarrierFreeInfiniteLoop)
 TEST_F(FaultDriverTest, WatchdogEnvOverrideIsHonoured)
 {
     setenv("NVBIT_SIM_WATCHDOG_CYCLES", "150000", 1);
-    CUcontext ctx = initCtx(sim::ExecMode::Parallel, true);
+    CUcontext ctx = initCtx(kDefaultEngine);
     CUfunction fn = loadKernel(kInfiniteLoopPtx, "loopk");
     EXPECT_EQ(cuLaunchKernel(fn, 1, 1, 1, 32, 1, 1, 0, nullptr, nullptr,
                              nullptr),
@@ -531,7 +516,7 @@ TEST_F(FaultDriverTest, WatchdogEnvOverrideIsHonoured)
 
 TEST_F(FaultDriverTest, LaunchDimensionValidation)
 {
-    initCtx(sim::ExecMode::Parallel, true);
+    initCtx(kDefaultEngine);
     CUfunction fn = loadKernel(kOobStorePtx, "oobk");
     CUdeviceptr out = 0;
     checkCu(cuMemAlloc(&out, 4096), "alloc");
@@ -565,7 +550,7 @@ TEST_F(FaultDriverTest, LaunchDimensionValidation)
 
 TEST_F(FaultDriverTest, ErrorStringsCoverTrapResults)
 {
-    initCtx(sim::ExecMode::Serial, false);
+    initCtx(kEngineMatrix[0]);
     const char *s = nullptr;
     ASSERT_EQ(cuGetErrorString(CUDA_SUCCESS, &s), CUDA_SUCCESS);
     EXPECT_STREQ(s, "no error");

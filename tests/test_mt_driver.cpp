@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "obs/metrics.hpp"
 #include "tools/fault_injection.hpp"
 
@@ -114,9 +115,7 @@ class MtDriverTest : public ::testing::Test
         ::unsetenv("NVBIT_SIM_GPU_POOL");
         ::unsetenv("NVBIT_SIM_WATCHDOG_CYCLES");
         ::unsetenv("NVBIT_SIM_COLD_LAUNCH");
-        ::unsetenv("NVBIT_SIM_EXEC");
-        ::unsetenv("NVBIT_SIM_PREDECODE");
-        ::unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
     }
 
     /** Run vecadd(n) on @p stream and return the output vector. */
@@ -223,7 +222,9 @@ TEST_F(MtDriverTest, ConcurrentEventRecordAndDestroyIsSafe)
     // either lands (the generation is completed for waiters) or fails
     // with CUDA_ERROR_INVALID_HANDLE — it must never touch the freed
     // event (regression: enqueue validated the handle in one lock
-    // acquisition and dereferenced it in another).
+    // acquisition and dereferenced it in another).  A loaded host can
+    // also leave the worker behind until the stream queue fills, which
+    // rejects the record with the backpressure retry-after signal.
     CUstream s = nullptr;
     ASSERT_EQ(cuStreamCreate(&s, 0), CUDA_SUCCESS);
     for (int round = 0; round < 100; ++round) {
@@ -233,7 +234,8 @@ TEST_F(MtDriverTest, ConcurrentEventRecordAndDestroyIsSafe)
             for (int i = 0; i < 8; ++i) {
                 CUresult r = cuEventRecord(ev, s);
                 if (r != CUDA_SUCCESS &&
-                    r != CUDA_ERROR_INVALID_HANDLE)
+                    r != CUDA_ERROR_INVALID_HANDLE &&
+                    r != CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES)
                     std::abort();
             }
         });
@@ -681,23 +683,17 @@ TEST(MtChaosTest, VictimsSurviveAdversarialTenantsBitIdentical)
     EXPECT_NE(j.find("\"role\": \"faulter\""), std::string::npos);
 }
 
-TEST(MtChaosTest, VictimsBitIdenticalAcrossAllSixEngineConfigs)
+TEST(MtChaosTest, VictimsBitIdenticalAcrossAllFourEngineConfigs)
 {
     resetDriver();
-    struct EngineCfg {
-        const char *exec;
-        const char *predecode;
-        const char *traces;
-    };
-    const EngineCfg configs[] = {
-        {"serial", "0", "0"},   {"serial", "1", "0"},
-        {"serial", "1", "1"},   {"parallel", "0", "0"},
-        {"parallel", "1", "0"}, {"parallel", "1", "1"},
-    };
-    for (const EngineCfg &ec : configs) {
-        ::setenv("NVBIT_SIM_EXEC", ec.exec, 1);
-        ::setenv("NVBIT_SIM_PREDECODE", ec.predecode, 1);
-        ::setenv("NVBIT_SIM_TRACES", ec.traces, 1);
+    // The chaos runner builds its own devices, so the engine is chosen
+    // through the environment overrides.
+    for (const EngineConfig &e : kEngineMatrix) {
+        ::setenv("NVBIT_SIM_EXEC",
+                 e.exec_mode == sim::ExecMode::Serial ? "serial"
+                                                      : "parallel",
+                 1);
+        ::setenv("NVBIT_SIM_TRACES", e.traces ? "1" : "0", 1);
         FaultCampaignRunner::ChaosConfig cfg;
         cfg.victims = 1;
         cfg.faulters = 1;
@@ -707,13 +703,40 @@ TEST(MtChaosTest, VictimsBitIdenticalAcrossAllSixEngineConfigs)
         cfg.elems = 256;
         auto report = FaultCampaignRunner::runChaos(cfg);
         EXPECT_TRUE(report.victimsHealthy())
-            << "exec=" << ec.exec << " predecode=" << ec.predecode
-            << " traces=" << ec.traces << "\n"
-            << report.toJson();
+            << e.name << "\n" << report.toJson();
     }
-    ::unsetenv("NVBIT_SIM_EXEC");
-    ::unsetenv("NVBIT_SIM_PREDECODE");
-    ::unsetenv("NVBIT_SIM_TRACES");
+    clearEngineEnv();
+}
+
+// --- Process exit ---------------------------------------------------------
+
+/** Launch on an explicit stream, then exit without resetDriver(). */
+[[noreturn]] void
+launchOnStreamAndExit()
+{
+    checkCu(cuInit(0), "cuInit");
+    CUcontext ctx = nullptr;
+    checkCu(cuCtxCreate(&ctx, 0, 0), "cuCtxCreate");
+    CUfunction fn = loadKernel(kVecAdd, "vecadd");
+    CUstream s = nullptr;
+    checkCu(cuStreamCreate(&s, 0), "stream");
+    uint32_t n = 4096;
+    CUdeviceptr d = 0;
+    checkCu(cuMemAlloc(&d, n * 4), "alloc");
+    void *params[] = {&d, &d, &d, &n};
+    checkCu(cuLaunchKernel(fn, n / 128, 1, 1, 128, 1, 1, 0, s, params,
+                           nullptr),
+            "launch");
+    std::exit(0);
+}
+
+TEST(MtExitTest, ExitWithoutResetDriverIsClean)
+{
+    // The child exits with the launch possibly still queued on a stream
+    // worker: static destruction must stop the stream service instead
+    // of destroying joinable worker threads (std::terminate, exit 134).
+    resetDriver(); // no service workers in the parent when it forks
+    EXPECT_EXIT(launchOnStreamAndExit(), ::testing::ExitedWithCode(0), "");
 }
 
 } // namespace

@@ -6,8 +6,8 @@
  *  1. MetricsRegistry unit behaviour (stability tags, eviction).
  *  2. Cross-layer counter wiring: sim/driver counters match the
  *     simulator's native statistics for a real workload.
- *  3. Exact-only metrics snapshots are bit-identical across all four
- *     engine configurations ({serial, parallel} x {decode, predecode}).
+ *  3. Exact-only metrics snapshots are bit-identical across the
+ *     untraced engine configurations (tests/engine_matrix.hpp).
  *  4. Channel protocol stress test with host-memory hooks and
  *     concurrent producers (ordering, drop accounting, reuse across
  *     flushes).
@@ -33,6 +33,7 @@
 #include "core/nvbit.hpp"
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "obs/channel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -124,8 +125,7 @@ class ObsTest : public ::testing::Test
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
+        clearEngineEnv();
         obs::MetricsRegistry::instance().reset();
         resetDriver();
     }
@@ -230,12 +230,11 @@ TEST_F(ObsTest, CountersMatchSimulatorStatsForRealWorkload)
 
 TEST_F(ObsTest, ExactSnapshotIdenticalAcrossEngineConfigs)
 {
-    auto runOnce = [&](sim::ExecMode mode, bool predecode) {
+    auto runOnce = [&](const EngineConfig &e) {
         obs::MetricsRegistry::instance().reset();
         resetDriver();
         sim::GpuConfig cfg;
-        cfg.exec_mode = mode;
-        cfg.use_predecode = predecode;
+        e.apply(cfg);
         setDeviceConfig(cfg);
         StrideApp app;
         app.ns = {300, 256};
@@ -244,11 +243,10 @@ TEST_F(ObsTest, ExactSnapshotIdenticalAcrossEngineConfigs)
         return obs::MetricsRegistry::instance().toJson(true);
     };
 
-    std::string base = runOnce(sim::ExecMode::Serial, false);
+    std::string base = runOnce(kUntracedEngines[0]);
     EXPECT_NE(base.find("sim.launches"), std::string::npos);
-    EXPECT_EQ(base, runOnce(sim::ExecMode::Serial, true));
-    EXPECT_EQ(base, runOnce(sim::ExecMode::Parallel, false));
-    EXPECT_EQ(base, runOnce(sim::ExecMode::Parallel, true));
+    for (const EngineConfig &e : kUntracedEngines.subspan(1))
+        EXPECT_EQ(base, runOnce(e)) << e.name;
 }
 
 // ---------------------------------------------------------------------

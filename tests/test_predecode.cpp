@@ -4,14 +4,15 @@
  *
  * Three groups:
  *  1. Differential property test: every tier-1 workload runs under all
- *     four engine configurations ({serial, parallel} x {byte-decode,
- *     predecode}) and must produce identical device-memory contents
- *     and launch statistics.
- *  2. Cache-coherence unit tests: patching code after it has been
- *     predecoded invalidates the affected pages and the next launch
- *     re-predecodes and observes the new bytes (the simulator-level
- *     analogue of NVBit's instrumented-code cache-invalidation
- *     protocol).
+ *     four engine configurations (tests/engine_matrix.hpp) and must
+ *     produce identical device-memory contents and launch statistics.
+ *  2. Cache-coherence tests: rewriting code after it has been
+ *     predecoded — through a host write(), a mutableView() patch (the
+ *     trampoline-patching and code-swap path), explicit invalidation,
+ *     or a checkpoint restore() — drops the affected pages, and the
+ *     next launch re-predecodes and observes the new bytes (the
+ *     simulator-level analogue of NVBit's instrumented-code
+ *     cache-invalidation protocol).
  *  3. Shard-aggregate test: per-SM statistics shards merged after a
  *     parallel launch equal the serial totals field by field.
  */
@@ -25,7 +26,9 @@
 
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "isa/abi.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/gpu.hpp"
 #include "workloads/workloads.hpp"
 
@@ -48,14 +51,9 @@ fnv1a(const uint8_t *p, size_t n)
     return h;
 }
 
-/**
- * Compare every LaunchStats field.  Decode-cache counters are only
- * comparable between runs with the same predecode setting (byte-decode
- * mode records every fetch as a miss), so they are gated.
- */
+/** Compare every LaunchStats field. */
 void
-expectStatsEq(const sim::LaunchStats &a, const sim::LaunchStats &b,
-              bool compare_decode_counters)
+expectStatsEq(const sim::LaunchStats &a, const sim::LaunchStats &b)
 {
     EXPECT_EQ(a.thread_instrs, b.thread_instrs);
     EXPECT_EQ(a.warp_instrs, b.warp_instrs);
@@ -73,10 +71,8 @@ expectStatsEq(const sim::LaunchStats &a, const sim::LaunchStats &b,
     EXPECT_EQ(a.l2_hits, b.l2_hits);
     EXPECT_EQ(a.l2_misses, b.l2_misses);
     EXPECT_EQ(a.ctas, b.ctas);
-    if (compare_decode_counters) {
-        EXPECT_EQ(a.decode_cache_hits, b.decode_cache_hits);
-        EXPECT_EQ(a.decode_cache_misses, b.decode_cache_misses);
-    }
+    EXPECT_EQ(a.decode_cache_hits, b.decode_cache_hits);
+    EXPECT_EQ(a.decode_cache_misses, b.decode_cache_misses);
 }
 
 // ---------------------------------------------------------------------
@@ -91,14 +87,11 @@ struct RunResult {
 /** Run one tier-1 workload to completion under the given engine
  *  configuration and fingerprint the resulting device state. */
 RunResult
-runWorkload(bool spec, const std::string &name, sim::ExecMode mode,
-            bool predecode, bool traces = false)
+runWorkload(bool spec, const std::string &name, const EngineConfig &e)
 {
     cudrv::resetDriver();
     sim::GpuConfig cfg;
-    cfg.exec_mode = mode;
-    cfg.use_predecode = predecode;
-    cfg.use_traces = traces;
+    e.apply(cfg);
     cudrv::setDeviceConfig(cfg);
     cudrv::checkCu(cudrv::cuInit(0), "init");
     cudrv::CUcontext ctx = nullptr;
@@ -122,16 +115,7 @@ runWorkload(bool spec, const std::string &name, sim::ExecMode mode,
 class EngineDifferentialTest : public ::testing::TestWithParam<std::string>
 {
   protected:
-    void
-    SetUp() override
-    {
-        // The engine honours NVBIT_SIM_EXEC / NVBIT_SIM_PREDECODE /
-        // NVBIT_SIM_TRACES when set; clear them so setDeviceConfig()
-        // fully controls each run.
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
-    }
+    void SetUp() override { clearEngineEnv(); }
     void TearDown() override { cudrv::resetDriver(); }
 };
 
@@ -141,45 +125,25 @@ TEST_P(EngineDifferentialTest, AllEngineConfigsAgree)
     bool spec = param.rfind("spec_", 0) == 0;
     std::string name = spec ? param.substr(5) : param.substr(3);
 
-    auto base = runWorkload(spec, name, sim::ExecMode::Serial, false);
-    auto ser_pre = runWorkload(spec, name, sim::ExecMode::Serial, true);
-    auto par_byte = runWorkload(spec, name, sim::ExecMode::Parallel, false);
-    auto par_pre = runWorkload(spec, name, sim::ExecMode::Parallel, true);
-    auto ser_tr = runWorkload(spec, name, sim::ExecMode::Serial, true,
-                              true);
-    auto par_tr = runWorkload(spec, name, sim::ExecMode::Parallel, true,
-                              true);
+    const RunResult base = runWorkload(spec, name, kEngineMatrix[0]);
+    for (const EngineConfig &e : std::span(kEngineMatrix).subspan(1)) {
+        SCOPED_TRACE(e.name);
+        const RunResult r = runWorkload(spec, name, e);
+        // Memory contents, architectural and timing stats are
+        // bit-identical.  So are the decode-cache counters: each SM's
+        // fetch stream is the same in every engine, and the traced
+        // engine charges a decode tick per issue slot.
+        EXPECT_EQ(base.mem_hash, r.mem_hash);
+        expectStatsEq(base.totals, r.totals);
+    }
 
-    // Memory contents must be bit-identical across all six engines.
-    EXPECT_EQ(base.mem_hash, ser_pre.mem_hash);
-    EXPECT_EQ(base.mem_hash, par_byte.mem_hash);
-    EXPECT_EQ(base.mem_hash, par_pre.mem_hash);
-    EXPECT_EQ(base.mem_hash, ser_tr.mem_hash);
-    EXPECT_EQ(base.mem_hash, par_tr.mem_hash);
-
-    // Architectural + timing stats identical everywhere; decode-cache
-    // counters identical between serial/parallel at the same predecode
-    // setting (the fetch streams per SM are the same by construction).
-    // The traced engine charges a decode tick per issue slot, so its
-    // counters match the per-instruction predecode engine exactly.
-    expectStatsEq(base.totals, ser_pre.totals, false);
-    expectStatsEq(base.totals, par_byte.totals, true);
-    expectStatsEq(ser_pre.totals, par_pre.totals, true);
-    expectStatsEq(ser_pre.totals, ser_tr.totals, true);
-    expectStatsEq(ser_tr.totals, par_tr.totals, true);
-
-    // Every fetch is classified exactly once.
+    // Every fetch is classified exactly once, and the cached page
+    // serves the overwhelming majority of them.
     EXPECT_EQ(base.totals.decode_cache_hits +
                   base.totals.decode_cache_misses,
               base.totals.warp_instrs);
-    EXPECT_EQ(ser_pre.totals.decode_cache_hits +
-                  ser_pre.totals.decode_cache_misses,
-              ser_pre.totals.warp_instrs);
-
-    // Byte-decode mode never hits; predecode mode overwhelmingly does.
-    EXPECT_EQ(base.totals.decode_cache_hits, 0u);
-    EXPECT_GT(ser_pre.totals.decode_cache_hits,
-              ser_pre.totals.decode_cache_misses);
+    EXPECT_GT(base.totals.decode_cache_hits,
+              base.totals.decode_cache_misses);
 }
 
 std::vector<std::string>
@@ -215,9 +179,7 @@ class PredecodeTest : public ::testing::Test
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
         gpu_ = std::make_unique<sim::GpuDevice>(smallConfig());
     }
 
@@ -313,49 +275,54 @@ TEST_F(PredecodeTest, ExplicitInvalidationProtocol)
     EXPECT_EQ(gpu_->memory().read32(buf), 7u);
 }
 
-TEST_F(PredecodeTest, ByteDecodeModeBypassesCache)
+TEST_F(PredecodeTest, MutableViewPatchInvalidatesAndRepredecodes)
 {
-    sim::GpuConfig cfg = smallConfig();
-    cfg.use_predecode = false;
-    auto gpu = std::make_unique<sim::GpuDevice>(cfg);
+    // The NVBit core rewrites code in place through mutableView()
+    // (jump-to-trampoline patching, code swapping); the view must drop
+    // the predecoded page it hands out for writing.
+    mem::DevPtr buf = gpu_->memory().alloc(4);
+    uint64_t entry = place(storeImmProgram(buf, 111));
+    gpu_->launch(oneThread(entry));
+    EXPECT_EQ(gpu_->memory().read32(buf), 111u);
 
-    mem::DevPtr buf = gpu->memory().alloc(4);
-    std::vector<Instruction> prog;
-    prog.push_back(isa::makeMovImm(5, 42));
-    isa::emitMaterialize32(prog, 6, static_cast<uint32_t>(buf));
-    isa::emitMaterialize32(prog, 7, static_cast<uint32_t>(buf >> 32));
-    prog.push_back(isa::makeStore(Opcode::STG, 6, 0, 5));
-    prog.push_back(isa::makeExit());
-    auto bytes = isa::encodeAll(gpu->family(), prog);
-    mem::DevPtr entry = gpu->memory().alloc(bytes.size(), 16);
-    gpu->memory().write(entry, bytes.data(), bytes.size());
+    auto code = gpu_->memory().mutableView(
+        entry, isa::instrBytes(gpu_->family()));
+    isa::encode(gpu_->family(), isa::makeMovImm(5, 222), code.data());
 
-    sim::LaunchParams lp;
-    lp.entry_pc = entry;
-    lp.block[0] = 1;
-    sim::LaunchStats st = gpu->launch(lp);
-    EXPECT_EQ(gpu->memory().read32(buf), 42u);
-    EXPECT_EQ(st.decode_cache_hits, 0u);
-    EXPECT_EQ(st.decode_cache_misses, st.warp_instrs);
-    EXPECT_EQ(gpu->codeCache().pagesBuilt(), 0u);
+    gpu_->launch(oneThread(entry));
+    EXPECT_EQ(gpu_->memory().read32(buf), 222u);
+}
+
+TEST_F(PredecodeTest, RestoreInvalidatesPredecodedCode)
+{
+    // DeviceMemory::restore() bypasses the write observer, so
+    // GpuDevice::restore() must flush the code cache itself.
+    mem::DevPtr buf = gpu_->memory().alloc(4);
+    uint64_t entry = place(storeImmProgram(buf, 111));
+    const sim::GpuState before = gpu_->snapshot();
+
+    uint8_t enc[16];
+    isa::encode(gpu_->family(), isa::makeMovImm(5, 222), enc);
+    gpu_->memory().write(entry, enc, isa::instrBytes(gpu_->family()));
+    gpu_->launch(oneThread(entry)); // predecodes the patched page
+    EXPECT_EQ(gpu_->memory().read32(buf), 222u);
+
+    gpu_->restore(before);
+    gpu_->launch(oneThread(entry));
+    EXPECT_EQ(gpu_->memory().read32(buf), 111u);
 }
 
 TEST_F(PredecodeTest, EnvOverridesControlEngine)
 {
     setenv("NVBIT_SIM_EXEC", "serial", 1);
-    setenv("NVBIT_SIM_PREDECODE", "0", 1);
     setenv("NVBIT_SIM_TRACES", "1", 1);
     sim::GpuDevice gpu(smallConfig());
     EXPECT_EQ(gpu.config().exec_mode, sim::ExecMode::Serial);
-    EXPECT_FALSE(gpu.config().use_predecode);
     EXPECT_TRUE(gpu.config().use_traces);
-    unsetenv("NVBIT_SIM_EXEC");
-    unsetenv("NVBIT_SIM_PREDECODE");
-    unsetenv("NVBIT_SIM_TRACES");
+    clearEngineEnv();
 
     sim::GpuDevice dflt(smallConfig());
     EXPECT_EQ(dflt.config().exec_mode, sim::ExecMode::Parallel);
-    EXPECT_TRUE(dflt.config().use_predecode);
     EXPECT_FALSE(dflt.config().use_traces);
 }
 
@@ -420,7 +387,7 @@ TEST_F(PredecodeTest, ParallelShardsAggregateToSerialTotals)
 
     sim::LaunchStats serial = run(sim::ExecMode::Serial);
     sim::LaunchStats parallel = run(sim::ExecMode::Parallel);
-    expectStatsEq(serial, parallel, true);
+    expectStatsEq(serial, parallel);
     EXPECT_EQ(serial.ctas, 10u);
 }
 

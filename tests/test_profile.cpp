@@ -6,9 +6,8 @@
  *     at every level (launch stats, device totals, per-SM shards) on
  *     every engine configuration.
  *  2. The PC-sample stream is bit-identical across all four engine
- *     configurations ({serial, parallel} x {byte-decode, predecode}),
- *     and the profiler's aggregate count matches the simulator's
- *     emitted-record counter.
+ *     configurations (tests/engine_matrix.hpp), and the profiler's
+ *     aggregate count matches the simulator's emitted-record counter.
  *  3. Sampling is off by default and charges nothing when off.
  *  4. Histogram metric unit behaviour (bounds, overflow bucket, JSON).
  *  5. Launch-record history cap: NVBIT_SIM_METRICS_HISTORY, oldest-
@@ -36,6 +35,7 @@
 #include "core/nvbit.hpp"
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -153,9 +153,7 @@ class ProfileTest : public ::testing::Test
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
         unsetenv("NVBIT_SIM_PC_SAMPLING");
         unsetenv("NVBIT_SIM_METRICS_HISTORY");
         unsetenv("NVBIT_SIM_METRICS");
@@ -172,23 +170,6 @@ class ProfileTest : public ::testing::Test
     {
         SetUp();
     }
-
-    struct EngineCfg {
-        sim::ExecMode mode;
-        bool predecode;
-        bool traces = false;
-    };
-
-    static std::vector<EngineCfg>
-    allEngines()
-    {
-        return {{sim::ExecMode::Serial, false, false},
-                {sim::ExecMode::Serial, true, false},
-                {sim::ExecMode::Parallel, false, false},
-                {sim::ExecMode::Parallel, true, false},
-                {sim::ExecMode::Serial, true, true},
-                {sim::ExecMode::Parallel, true, true}};
-    }
 };
 
 // ---------------------------------------------------------------------
@@ -197,13 +178,12 @@ class ProfileTest : public ::testing::Test
 
 TEST_F(ProfileTest, BreakdownSumsToCyclesAcrossEngines)
 {
-    for (const EngineCfg &e : allEngines()) {
+    for (const EngineConfig &e : kEngineMatrix) {
+        SCOPED_TRACE(e.name);
         obs::MetricsRegistry::instance().reset();
         resetDriver();
         sim::GpuConfig cfg;
-        cfg.exec_mode = e.mode;
-        cfg.use_predecode = e.predecode;
-        cfg.use_traces = e.traces;
+        e.apply(cfg);
         setDeviceConfig(cfg);
 
         std::vector<sim::LaunchStats> per_launch;
@@ -240,14 +220,12 @@ TEST_F(ProfileTest, SampleStreamBitIdenticalAcrossEngines)
     obs::Profiler &prof = obs::Profiler::instance();
     prof.setRetainRaw(true);
 
-    auto runOnce = [&](const EngineCfg &e) {
+    auto runOnce = [&](const EngineConfig &e) {
         obs::MetricsRegistry::instance().reset();
         prof.reset();
         resetDriver();
         sim::GpuConfig cfg;
-        cfg.exec_mode = e.mode;
-        cfg.use_predecode = e.predecode;
-        cfg.use_traces = e.traces;
+        e.apply(cfg);
         cfg.pc_sample_period = 16;
         setDeviceConfig(cfg);
         PassiveTool tool;
@@ -255,8 +233,7 @@ TEST_F(ProfileTest, SampleStreamBitIdenticalAcrossEngines)
         return prof.rawSamples();
     };
 
-    auto engines = allEngines();
-    std::vector<obs::PcSample> base = runOnce(engines[0]);
+    std::vector<obs::PcSample> base = runOnce(kEngineMatrix[0]);
     ASSERT_FALSE(base.empty()) << "period 16 must produce samples";
 
     // The aggregate count matches the simulator's emitted-record
@@ -268,11 +245,9 @@ TEST_F(ProfileTest, SampleStreamBitIdenticalAcrossEngines)
                         std::to_string(prof.totalSamples())),
               std::string::npos);
 
-    for (size_t i = 1; i < engines.size(); ++i) {
-        std::vector<obs::PcSample> other = runOnce(engines[i]);
-        EXPECT_EQ(base, other)
-            << "sample stream differs for engine config " << i;
-    }
+    for (const EngineConfig &e : std::span(kEngineMatrix).subspan(1))
+        EXPECT_EQ(base, runOnce(e))
+            << "sample stream differs for engine config " << e.name;
     prof.setRetainRaw(false);
 }
 

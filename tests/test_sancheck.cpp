@@ -7,8 +7,7 @@
  *  2. The seeded-bug detection-rate campaign: every OOB / race /
  *     divergent-barrier / uninit class is caught, clean controls stay
  *     silent, and the whole campaign report is bit-identical across
- *     all six engine configurations ({serial, parallel} x
- *     {byte-decode, predecode, traced}).
+ *     all four engine configurations (tests/engine_matrix.hpp).
  *  3. Reporting semantics: allocation provenance, finding dedup, the
  *     JSON export path, and fatal promotion to a SanitizerError
  *     DeviceException under NVBIT_SIM_SANCHECK_FATAL=1.
@@ -29,6 +28,7 @@
 
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "mem/shadow_memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sanitizer.hpp"
@@ -46,23 +46,6 @@ using sim::TrapCode;
 using tools::SancheckCampaign;
 using tools::SancheckCampaignReport;
 using tools::SeededBug;
-
-struct EngineCfg {
-    sim::ExecMode mode;
-    bool predecode;
-    bool traces;
-    const char *name;
-};
-
-/** The six engine configurations every report must be identical on. */
-constexpr EngineCfg kEngines[] = {
-    {sim::ExecMode::Serial, false, false, "serial"},
-    {sim::ExecMode::Serial, true, false, "serial+predecode"},
-    {sim::ExecMode::Parallel, false, false, "parallel"},
-    {sim::ExecMode::Parallel, true, false, "parallel+predecode"},
-    {sim::ExecMode::Serial, true, true, "serial+traces"},
-    {sim::ExecMode::Parallel, true, true, "parallel+traces"},
-};
 
 /** Single-thread store through the pointer param (OOB / UAF seed). */
 const char *kStorePtx = R"(
@@ -192,9 +175,7 @@ class SancheckTest : public ::testing::Test
     static void
     clearEnv()
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
         unsetenv("NVBIT_SIM_SANCHECK");
         unsetenv("NVBIT_SIM_SANCHECK_FATAL");
         unsetenv("NVBIT_SIM_SANCHECK_REPORT");
@@ -202,15 +183,11 @@ class SancheckTest : public ::testing::Test
 
     /** Fresh device with the given checks; returns its context. */
     CUcontext
-    initDevice(uint32_t mask,
-               EngineCfg e = {sim::ExecMode::Parallel, true, false, ""})
+    initDevice(uint32_t mask)
     {
         resetDriver();
         sim::GpuConfig cfg;
         cfg.num_sms = 2;
-        cfg.exec_mode = e.mode;
-        cfg.use_predecode = e.predecode;
-        cfg.use_traces = e.traces;
         cfg.sancheck_mask = mask;
         setDeviceConfig(cfg);
         checkCu(cuInit(0), "init");
@@ -274,13 +251,12 @@ TEST_F(SancheckTest, CampaignDetectsEverySeededBugClass)
     }
 }
 
-TEST_F(SancheckTest, CampaignReportBitIdenticalAcrossSixEngineConfigs)
+TEST_F(SancheckTest, CampaignReportBitIdenticalAcrossFourEngineConfigs)
 {
     std::vector<std::string> reports;
-    for (const EngineCfg &e : kEngines) {
+    for (const EngineConfig &e : kEngineMatrix) {
         SancheckCampaign::Config cfg;
-        cfg.exec_mode = e.mode;
-        cfg.use_predecode = e.predecode;
+        cfg.exec_mode = e.exec_mode;
         cfg.use_traces = e.traces;
         const SancheckCampaignReport rep = SancheckCampaign(cfg).run();
         EXPECT_DOUBLE_EQ(rep.detectionRate(), 1.0) << e.name;
@@ -289,7 +265,7 @@ TEST_F(SancheckTest, CampaignReportBitIdenticalAcrossSixEngineConfigs)
     }
     for (size_t i = 1; i < reports.size(); ++i)
         EXPECT_EQ(reports[0], reports[i])
-            << kEngines[0].name << " vs " << kEngines[i].name;
+            << kEngineMatrix[0].name << " vs " << kEngineMatrix[i].name;
 }
 
 TEST_F(SancheckTest, CampaignSkipsClassesWhoseCheckIsDisabled)

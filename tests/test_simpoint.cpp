@@ -7,9 +7,10 @@
  *     seed => same clusters), BIC selection on separable data, and
  *     SamplingPlan JSON round-trips.
  *  2. Device checkpoint/restore: snapshot -> perturb -> restore ->
- *     re-run is bit-identical to an uninterrupted run across all six
- *     engine configurations, for both launch-boundary and mid-launch
- *     (in-flight CTA) capsules, including a PC-sampling config.
+ *     re-run is bit-identical to an uninterrupted run across all four
+ *     engine configurations (tests/engine_matrix.hpp), for both
+ *     launch-boundary and mid-launch (in-flight CTA) capsules,
+ *     including a PC-sampling config.
  *  3. Functional-fidelity passivity: a Functional launch produces the
  *     same memory, instruction counts and cycles as Full, with the
  *     observability side (events, cache stats) quiesced.
@@ -28,6 +29,7 @@
 #include "core/nvbit.hpp"
 #include "driver/checkpoint.hpp"
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "isa/abi.hpp"
 #include "obs/simpoint.hpp"
 #include "sim/checkpoint.hpp"
@@ -212,48 +214,55 @@ TEST(SimpointCluster, ExtrapolationWeightsMeasurements)
 // 2. Device checkpoint/restore across engine configs
 // ---------------------------------------------------------------------
 
-struct EngineConfig {
-    const char *name;
-    sim::ExecMode mode;
-    bool predecode;
-    bool traces;
+/** One engine-matrix row, optionally with PC sampling on. */
+struct SimpointEngine {
+    EngineConfig engine;
     uint64_t pc_sample_period;
 };
 
-const EngineConfig kEngineConfigs[] = {
-    {"serial_byte", sim::ExecMode::Serial, false, false, 0},
-    {"serial_pre", sim::ExecMode::Serial, true, false, 0},
-    {"serial_traced", sim::ExecMode::Serial, true, true, 0},
-    {"parallel_byte", sim::ExecMode::Parallel, false, false, 0},
-    {"parallel_pre", sim::ExecMode::Parallel, true, false, 0},
-    {"parallel_traced", sim::ExecMode::Parallel, true, true, 0},
-    {"serial_pre_pcsamp", sim::ExecMode::Serial, true, false, 16},
-};
+/** The engine matrix plus PC sampling on the serial engine. */
+std::vector<SimpointEngine>
+simpointEngines()
+{
+    std::vector<SimpointEngine> v;
+    for (const EngineConfig &e : kEngineMatrix)
+        v.push_back({e, 0});
+    v.push_back({kEngineMatrix[0], 16});
+    return v;
+}
+
+/** Test-name suffix: the per-instruction rows are named "_pre"
+ *  (predecoded), sampled rows "_pcsamp". */
+std::string
+simpointEngineName(const SimpointEngine &p)
+{
+    std::string name = p.engine.name;
+    if (!p.engine.traces)
+        name += "_pre";
+    if (p.pc_sample_period != 0)
+        name += "_pcsamp";
+    return name;
+}
 
 class SimpointCheckpointTest
-    : public ::testing::TestWithParam<EngineConfig>
+    : public ::testing::TestWithParam<SimpointEngine>
 {
   protected:
     void
     SetUp() override
     {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
         unsetenv("NVBIT_SIM_PC_SAMPLING");
     }
 
     sim::GpuConfig
     makeConfig() const
     {
-        const EngineConfig &e = GetParam();
         sim::GpuConfig cfg;
         cfg.num_sms = 4;
         cfg.mem_bytes = 8 << 20;
-        cfg.exec_mode = e.mode;
-        cfg.use_predecode = e.predecode;
-        cfg.use_traces = e.traces;
-        cfg.pc_sample_period = e.pc_sample_period;
+        GetParam().engine.apply(cfg);
+        cfg.pc_sample_period = GetParam().pc_sample_period;
         return cfg;
     }
 
@@ -431,9 +440,9 @@ TEST_P(SimpointCheckpointTest, BoundaryFallbackWhenRoundNeverReached)
 
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, SimpointCheckpointTest,
-    ::testing::ValuesIn(kEngineConfigs),
-    [](const ::testing::TestParamInfo<EngineConfig> &info) {
-        return std::string(info.param.name);
+    ::testing::ValuesIn(simpointEngines()),
+    [](const ::testing::TestParamInfo<SimpointEngine> &info) {
+        return simpointEngineName(info.param);
     });
 
 // ---------------------------------------------------------------------

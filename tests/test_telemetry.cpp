@@ -30,6 +30,7 @@
 #include "common/timer.hpp"
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/publisher.hpp"
@@ -177,9 +178,7 @@ class TelemetryTest : public ::testing::Test
         ::unsetenv("NVBIT_SIM_LOG");
         ::unsetenv("NVBIT_SIM_LOG_LEVEL");
         ::unsetenv("NVBIT_SIM_SLO_P99_US");
-        ::unsetenv("NVBIT_SIM_EXEC");
-        ::unsetenv("NVBIT_SIM_PREDECODE");
-        ::unsetenv("NVBIT_SIM_TRACES");
+        clearEngineEnv();
         resetDriver();
         obs::TelemetryPublisher::instance().stop();
         obs::Tracer::instance().disableAndFlush();
@@ -625,15 +624,13 @@ TEST_F(TelemetryTest, SloBreachesAreEdgeTriggered)
 /** One full vecadd run under the given engine config; returns the
  *  end-of-run exact SLO summary of tenant 0. */
 obs::SloSummary
-runConfigAndSummarise(sim::ExecMode mode, bool predecode, bool traces)
+runConfigAndSummarise(const EngineConfig &e)
 {
     resetDriver();
     obs::MetricsRegistry::instance().reset();
     obs::SloMonitor::instance().configure({250, 8, 0});
     sim::GpuConfig cfg;
-    cfg.exec_mode = mode;
-    cfg.use_predecode = predecode;
-    cfg.use_traces = traces;
+    e.apply(cfg);
     setDeviceConfig(cfg);
     checkCu(cuInit(0), "init");
     runVecaddLoad(10);
@@ -644,23 +641,17 @@ runConfigAndSummarise(sim::ExecMode mode, bool predecode, bool traces)
 }
 
 // The exact part of the SLO summary (retired-op and error counts)
-// must be identical across all six engine configurations — wall-clock
+// must be identical across all four engine configurations — wall-clock
 // quantiles are Volatile, op counts are not.
 TEST_F(TelemetryTest, SloExactSummaryDeterministicAcrossConfigs)
 {
-    obs::SloSummary base =
-        runConfigAndSummarise(sim::ExecMode::Serial, false, false);
+    obs::SloSummary base = runConfigAndSummarise(kEngineMatrix[0]);
     EXPECT_GT(base.ops, 0u);
-    for (auto mode : {sim::ExecMode::Serial, sim::ExecMode::Parallel})
-        for (bool pre : {false, true})
-            for (bool tr : {false, true}) {
-                if (tr && !pre)
-                    continue; // traced implies predecode
-                obs::SloSummary s =
-                    runConfigAndSummarise(mode, pre, tr);
-                EXPECT_EQ(s.ops, base.ops);
-                EXPECT_EQ(s.errors, base.errors);
-            }
+    for (const EngineConfig &e : std::span(kEngineMatrix).subspan(1)) {
+        obs::SloSummary s = runConfigAndSummarise(e);
+        EXPECT_EQ(s.ops, base.ops) << e.name;
+        EXPECT_EQ(s.errors, base.errors) << e.name;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -25,6 +25,7 @@
 
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
+#include "engine_matrix.hpp"
 #include "isa/abi.hpp"
 #include "sim/gpu.hpp"
 #include "sim/trace_cache.hpp"
@@ -39,13 +40,7 @@ using isa::Opcode;
 class TraceTestBase : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        unsetenv("NVBIT_SIM_EXEC");
-        unsetenv("NVBIT_SIM_PREDECODE");
-        unsetenv("NVBIT_SIM_TRACES");
-    }
+    void SetUp() override { clearEngineEnv(); }
     void TearDown() override { cudrv::resetDriver(); }
 
     sim::GpuConfig
