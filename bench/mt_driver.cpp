@@ -11,13 +11,17 @@
  *   - p50_us / p99_us tail latency (client-side, per launch)
  *   - backpressure rejections absorbed (retried until accepted)
  *
+ * A single tenant then issues the same total launch count in the same
+ * process.  `tenant_scaling` is the aggregate launches/sec divided by
+ * the single tenant's: a ratio of two runs on one host, which
+ * scripts/bench_guard.sh gates instead of an absolute rate.
+ *
  * The load generator itself lives in mt_loadgen.hpp, shared with
  * BENCH_fig_telemetry_overhead so the telemetry overhead figure
  * measures exactly this workload.
  *
  * `--smoke` shrinks the per-tenant launch count for CI's artifact-path
- * check; the default (full) mode is what scripts/bench_guard.sh gates
- * against the committed baseline.
+ * check; the default (full) mode is what scripts/bench_guard.sh gates.
  */
 #include <cstdio>
 #include <cstring>
@@ -87,6 +91,17 @@ main(int argc, char **argv)
                 wall_s, lps, p50, p99,
                 static_cast<unsigned long long>(total_rejects));
 
+    std::vector<bench::TenantStats> single;
+    double single_wall_s = bench::runTenantLoad(1, tenants * launches,
+                                                elems, single);
+    double single_lps =
+        static_cast<double>(single[0].launches) / single_wall_s;
+    double scaling = lps / single_lps;
+    std::printf("single tenant: %llu launches in %.3f s = %.0f "
+                "launches/sec; %u-tenant scaling %.2fx\n",
+                static_cast<unsigned long long>(single[0].launches),
+                single_wall_s, single_lps, tenants, scaling);
+
     bench::writeBenchJson(
         "mt_driver", "tenants", rows,
         {{"tenant_count", bench::jNum(static_cast<uint64_t>(tenants))},
@@ -95,6 +110,8 @@ main(int argc, char **argv)
          {"p50_us", bench::jNum(p50)},
          {"p99_us", bench::jNum(p99)},
          {"rejects", bench::jNum(total_rejects)},
+         {"single_tenant_launches_per_sec", bench::jNum(single_lps)},
+         {"tenant_scaling", bench::jNum(scaling)},
          {"smoke", bench::jBool(smoke)}});
     resetDriver();
     return 0;

@@ -3,7 +3,7 @@
  * Shared multi-tenant load generator for the driver-service benches.
  *
  * Extracted from mt_driver.cpp so BENCH_mt_driver (throughput/latency
- * vs the committed baseline) and BENCH_fig_telemetry_overhead
+ * and multi-tenant scaling) and BENCH_fig_telemetry_overhead
  * (telemetry-on vs telemetry-off on the *same* load) measure exactly
  * the same workload: N tenant threads, one context + one explicit
  * stream each, firing small vecadd launches and syncing after each.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: docs hygiene, tier-1 build + full test suite, a fast
-# bench smoke (validating the BENCH_*.json artifact path), then the
-# same test suite under ASan+UBSan via the `sanitize` CMake preset and
-# the driver/concurrency suites under ThreadSanitizer via the `tsan`
+# bench smoke (validating the BENCH_*.json artifact path), the perf
+# guard and the repo benchmark's self-test, then the same test suite
+# under ASan+UBSan via the `sanitize` CMake preset and the
+# driver/concurrency suites under ThreadSanitizer via the `tsan`
 # preset (the multi-tenant stress and chaos tests are only meaningful
 # race-free).
 #
@@ -57,8 +58,11 @@ for artifact in BENCH_micro_core.json BENCH_fig5_jit_overhead.json \
     fi
 done
 
-echo "==> bench guard: same-run hot-path ratios + committed baselines"
+echo "==> bench guard: same-run ratios + absolute bounds + SimPoint baseline"
 scripts/bench_guard.sh
+
+echo "==> repo benchmark: perfbench self-test (short run of every workload)"
+python3 perfbench/selftest.py
 
 if [[ "$run_sanitize" == 1 ]]; then
     echo "==> sanitize (ASan+UBSan): configure + build"

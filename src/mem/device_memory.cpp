@@ -18,7 +18,7 @@ alignUp(DevPtr p, size_t align)
 } // namespace
 
 DeviceMemory::DeviceMemory(size_t size)
-    : storage_(size, 0)
+    : storage_(allocZeroed(size)), size_(size)
 {
     NVBIT_ASSERT(size > kFirstUsable, "device memory too small: %zu", size);
     free_blocks_[kFirstUsable] = size - kFirstUsable;
@@ -99,7 +99,7 @@ DeviceMemory::free(DevPtr addr)
 void
 DeviceMemory::checkRange(DevPtr addr, size_t bytes, bool is_write) const
 {
-    if (addr < kFirstUsable || addr + bytes > storage_.size() ||
+    if (addr < kFirstUsable || addr + bytes > size_ ||
         addr + bytes < addr) {
         throw MemFault{addr, bytes, is_write};
     }
@@ -109,14 +109,14 @@ void
 DeviceMemory::read(DevPtr addr, void *out, size_t bytes) const
 {
     checkRange(addr, bytes, false);
-    std::memcpy(out, storage_.data() + addr, bytes);
+    std::memcpy(out, storage_.get() + addr, bytes);
 }
 
 void
 DeviceMemory::write(DevPtr addr, const void *in, size_t bytes)
 {
     checkRange(addr, bytes, true);
-    std::memcpy(storage_.data() + addr, in, bytes);
+    std::memcpy(storage_.get() + addr, in, bytes);
     if (shadow_)
         shadow_->markInitialized(addr, bytes);
     if (observer_)
@@ -162,7 +162,7 @@ DeviceMemory::write32(DevPtr addr, uint32_t v)
 {
     checkAligned(addr, sizeof(v), true);
     checkRange(addr, sizeof(v), true);
-    std::memcpy(storage_.data() + addr, &v, sizeof(v));
+    std::memcpy(storage_.get() + addr, &v, sizeof(v));
     if (shadow_)
         shadow_->markInitialized(addr, sizeof(v));
 }
@@ -172,7 +172,7 @@ DeviceMemory::write64(DevPtr addr, uint64_t v)
 {
     checkAligned(addr, sizeof(v), true);
     checkRange(addr, sizeof(v), true);
-    std::memcpy(storage_.data() + addr, &v, sizeof(v));
+    std::memcpy(storage_.get() + addr, &v, sizeof(v));
     if (shadow_)
         shadow_->markInitialized(addr, sizeof(v));
 }
@@ -181,7 +181,7 @@ DeviceMemory::Image
 DeviceMemory::snapshot() const
 {
     Image img;
-    img.storage = storage_;
+    img.storage.assign(storage_.get(), storage_.get() + size_);
     img.free_blocks = free_blocks_;
     img.live_blocks = live_blocks_;
     img.bytes_allocated = bytes_allocated_;
@@ -191,10 +191,10 @@ DeviceMemory::snapshot() const
 void
 DeviceMemory::restore(const Image &img)
 {
-    NVBIT_ASSERT(img.storage.size() == storage_.size(),
+    NVBIT_ASSERT(img.storage.size() == size_,
                  "restoring a %zu-byte image onto a %zu-byte device",
-                 img.storage.size(), storage_.size());
-    storage_ = img.storage;
+                 img.storage.size(), size_);
+    std::memcpy(storage_.get(), img.storage.data(), size_);
     free_blocks_ = img.free_blocks;
     live_blocks_ = img.live_blocks;
     bytes_allocated_ = img.bytes_allocated;
@@ -206,7 +206,7 @@ std::span<const uint8_t>
 DeviceMemory::view(DevPtr addr, size_t bytes) const
 {
     checkRange(addr, bytes, false);
-    return {storage_.data() + addr, bytes};
+    return {storage_.get() + addr, bytes};
 }
 
 std::span<uint8_t>
@@ -217,7 +217,7 @@ DeviceMemory::mutableView(DevPtr addr, size_t bytes)
         shadow_->markInitialized(addr, bytes);
     if (observer_)
         observer_(addr, bytes);
-    return {storage_.data() + addr, bytes};
+    return {storage_.get() + addr, bytes};
 }
 
 } // namespace nvbit::mem

@@ -7,6 +7,11 @@
  * Code for kernels and NVBit trampolines is allocated from the same
  * region; the SM5x JMP encoding can address up to 128 MiB, so the
  * default device size stays below that bound.
+ *
+ * The region is zero-filled on first touch (zeroed_bytes.hpp), so
+ * constructing a device writes nothing and host resident memory
+ * follows the bytes a run actually touches, not the device size.
+ * Snapshot and restore still copy the whole region.
  */
 #ifndef NVBIT_MEM_DEVICE_MEMORY_HPP
 #define NVBIT_MEM_DEVICE_MEMORY_HPP
@@ -17,6 +22,8 @@
 #include <map>
 #include <span>
 #include <vector>
+
+#include "mem/zeroed_bytes.hpp"
 
 namespace nvbit::mem {
 
@@ -58,9 +65,10 @@ class DeviceMemory
      */
     using WriteObserver = std::function<void(DevPtr, size_t)>;
 
+    /** All @p size bytes read zero until written. */
     explicit DeviceMemory(size_t size = kDefaultSize);
 
-    size_t size() const { return storage_.size(); }
+    size_t size() const { return size_; }
 
     /**
      * Allocate @p bytes with the given alignment.
@@ -138,7 +146,8 @@ class DeviceMemory
   private:
     void checkRange(DevPtr addr, size_t bytes, bool is_write) const;
 
-    std::vector<uint8_t> storage_;
+    ZeroedBytes storage_;
+    size_t size_;
     /** free list: start -> size, coalesced on free() */
     std::map<DevPtr, size_t> free_blocks_;
     /** live allocations: start -> size */

@@ -7,7 +7,7 @@
 namespace nvbit::mem {
 
 ShadowMemory::ShadowMemory(size_t bytes)
-    : flags_(bytes)
+    : flags_(allocZeroed(bytes)), size_(bytes)
 {
 }
 
@@ -15,17 +15,16 @@ void
 ShadowMemory::setFlags(DevPtr addr, size_t bytes, uint8_t set,
                        uint8_t clear)
 {
-    if (addr >= flags_.size())
+    if (addr >= size_)
         return;
-    size_t end = std::min(static_cast<size_t>(addr) + bytes,
-                          flags_.size());
+    size_t end = std::min(static_cast<size_t>(addr) + bytes, size_);
     for (size_t i = addr; i < end; ++i) {
         if (clear != 0) {
-            uint8_t v = flags_[i].load(std::memory_order_relaxed);
-            flags_[i].store(static_cast<uint8_t>((v & ~clear) | set),
-                            std::memory_order_relaxed);
+            uint8_t v = flag(i).load(std::memory_order_relaxed);
+            flag(i).store(static_cast<uint8_t>((v & ~clear) | set),
+                          std::memory_order_relaxed);
         } else {
-            flags_[i].fetch_or(set, std::memory_order_relaxed);
+            flag(i).fetch_or(set, std::memory_order_relaxed);
         }
     }
 }
@@ -75,9 +74,8 @@ ShadowMemory::rangeAddressable(DevPtr addr, size_t bytes,
 {
     for (size_t i = 0; i < bytes; ++i) {
         DevPtr p = addr + i;
-        if (p >= flags_.size() ||
-            (flags_[p].load(std::memory_order_relaxed) & kAddressable) ==
-                0) {
+        if (p >= size_ ||
+            (flag(p).load(std::memory_order_relaxed) & kAddressable) == 0) {
             if (first_bad != nullptr)
                 *first_bad = p;
             return false;
@@ -92,9 +90,8 @@ ShadowMemory::rangeInitialized(DevPtr addr, size_t bytes,
 {
     for (size_t i = 0; i < bytes; ++i) {
         DevPtr p = addr + i;
-        if (p >= flags_.size() ||
-            (flags_[p].load(std::memory_order_relaxed) & kInitialized) ==
-                0) {
+        if (p >= size_ ||
+            (flag(p).load(std::memory_order_relaxed) & kInitialized) == 0) {
             if (first_bad != nullptr)
                 *first_bad = p;
             return false;
@@ -137,16 +134,15 @@ ShadowMemory::nearestAlloc(DevPtr addr, AllocInfo &out) const
 void
 ShadowMemory::rebuildFromLive(const std::map<DevPtr, size_t> &live_blocks)
 {
-    for (auto &f : flags_)
-        f.store(0, std::memory_order_relaxed);
+    for (size_t i = 0; i < size_; ++i)
+        flag(i).store(0, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mu_);
     allocs_.clear();
     for (const auto &[base, bytes] : live_blocks) {
-        size_t end = std::min(static_cast<size_t>(base) + bytes,
-                              flags_.size());
+        size_t end = std::min(static_cast<size_t>(base) + bytes, size_);
         for (size_t i = base; i < end; ++i)
-            flags_[i].store(kAddressable | kInitialized,
-                            std::memory_order_relaxed);
+            flag(i).store(kAddressable | kInitialized,
+                          std::memory_order_relaxed);
         AllocInfo info;
         info.base = base;
         info.bytes = bytes;

@@ -23,11 +23,17 @@
  * address range is reused) so out-of-bounds and use-after-free reports
  * can name the nearest allocation with live/freed provenance.
  *
- * Thread-safety: flag bytes are relaxed atomics — parallel-engine SMs
- * may mark the same flag concurrently (grid-order-fenced atomics,
- * plain stores from disjoint CTAs), and the end state is the same
- * either way.  The registry mutates only on host-side alloc/free paths
- * and is read on the (rare) violation path, both under a mutex.
+ * The flag bytes, one per device byte, start zero (unaddressable,
+ * uninitialized) and are zero-filled on first touch like the device
+ * memory itself (zeroed_bytes.hpp): attaching a shadow writes nothing,
+ * and its resident memory follows the allocations a run makes.
+ *
+ * Thread-safety: flag bytes are accessed as relaxed atomics
+ * (std::atomic_ref) — parallel-engine SMs may mark the same flag
+ * concurrently (grid-order-fenced atomics, plain stores from disjoint
+ * CTAs), and the end state is the same either way.  The registry
+ * mutates only on host-side alloc/free paths and is read on the (rare)
+ * violation path, both under a mutex.
  */
 #ifndef NVBIT_MEM_SHADOW_MEMORY_HPP
 #define NVBIT_MEM_SHADOW_MEMORY_HPP
@@ -37,7 +43,8 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <vector>
+
+#include "mem/zeroed_bytes.hpp"
 
 namespace nvbit::mem {
 
@@ -57,7 +64,7 @@ class ShadowMemory
 
     explicit ShadowMemory(size_t bytes);
 
-    size_t size() const { return flags_.size(); }
+    size_t size() const { return size_; }
 
     /** A block became live: addressable, nothing initialized yet. */
     void onAlloc(DevPtr base, size_t bytes);
@@ -99,7 +106,14 @@ class ShadowMemory
 
     void setFlags(DevPtr addr, size_t bytes, uint8_t set, uint8_t clear);
 
-    std::vector<std::atomic<uint8_t>> flags_;
+    std::atomic_ref<uint8_t>
+    flag(size_t i) const
+    {
+        return std::atomic_ref<uint8_t>(flags_[i]);
+    }
+
+    ZeroedBytes flags_;
+    size_t size_;
     mutable std::mutex mu_;
     /** By base address; freed records retained for provenance. */
     std::map<DevPtr, AllocInfo> allocs_;

@@ -63,6 +63,7 @@ struct VarDecl {
     uint64_t size_bytes = 0;
     unsigned align = 4;
     std::vector<uint8_t> init;
+    int line = 0; ///< line in the PTX source (for diagnostics)
 };
 
 struct FuncDecl {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 
 #include "common/logging.hpp"
 #include "isa/abi.hpp"
@@ -124,6 +125,9 @@ class FuncCompiler
         out_fn_.is_entry = fn_.is_entry;
 
         declareRegisters();
+        for (const Stmt &s : fn_.body)
+            if (s.is_label)
+                labels_.insert(s.label);
         layoutLocalsAndShared();
         layoutParams();
         bindFuncParams();
@@ -162,15 +166,27 @@ class FuncCompiler
         for (const VarDecl &v : fn_.locals) {
             local_size_ = alignUp(local_size_, v.align);
             local_off_[v.name] = local_size_;
-            local_size_ += static_cast<uint32_t>(v.size_bytes);
+            local_size_ = capped(local_size_, v, ".local", kMaxLocalBytes);
         }
         uint32_t soff = 0;
         for (const VarDecl &v : fn_.shareds) {
             soff = alignUp(soff, v.align);
             shared_off_[v.name] = soff;
-            soff += static_cast<uint32_t>(v.size_bytes);
+            soff = capped(soff, v, ".shared", kMaxSharedBytes);
         }
         out_fn_.shared_bytes = soff;
+    }
+
+    /** @p off + @p v's size, or a CompileError past @p cap bytes. */
+    uint32_t
+    capped(uint32_t off, const VarDecl &v, const char *space,
+           uint64_t cap) const
+    {
+        uint64_t end = uint64_t{off} + v.size_bytes;
+        if (end > cap)
+            err(v.line, strfmt("%s variables need more than %llu bytes",
+                               space, static_cast<unsigned long long>(cap)));
+        return static_cast<uint32_t>(end);
     }
 
     void
@@ -687,6 +703,9 @@ class FuncCompiler
         } else if (mn == "bra") {
             if (in.ops.at(0).kind != AsmOperand::Kind::Sym)
                 err(line, "branch target must be a label");
+            if (!labels_.count(in.ops[0].name))
+                err(line, strfmt("undefined label '%s'",
+                                 in.ops[0].name.c_str()));
             VInstr vi;
             vi.kind = VInstr::Kind::Bra;
             vi.label = labelId(in.ops[0].name);
@@ -1542,6 +1561,7 @@ class FuncCompiler
     std::map<std::string, int> vreg_ids_;
     std::vector<VInstr> vinstrs_;
     std::map<std::string, int> label_ids_;
+    std::set<std::string> labels_; ///< every label the body defines
 
     std::map<std::string, uint32_t> local_off_;
     uint32_t local_size_ = 0;

@@ -44,27 +44,36 @@ compile(const std::string &source, isa::ArchFamily family,
         mod.files.push_back(name);
     }
 
-    // Bank 1: .const data first...
+    // Bank 1: .const data first, then one 8-byte address slot per
+    // .global (the loader fills those).
     uint32_t off = 0;
+    auto place = [&](const VarDecl &v, uint32_t align, uint64_t bytes) {
+        off = alignUp(off, align);
+        if (off + bytes > kMaxConstBytes)
+            throw CompileError{
+                strfmt("constant bank needs more than %llu bytes at '%s'",
+                       static_cast<unsigned long long>(kMaxConstBytes),
+                       v.name.c_str()),
+                v.line};
+        uint32_t at = off;
+        off += static_cast<uint32_t>(bytes);
+        return at;
+    };
     for (const VarDecl &c : ast.consts) {
-        off = alignUp(off, c.align);
-        layout.const_off[c.name] = off;
-        mod.bank1.resize(off + c.size_bytes, 0);
-        if (!c.init.empty())
-            std::copy(c.init.begin(), c.init.end(), mod.bank1.begin() + off);
-        off += static_cast<uint32_t>(c.size_bytes);
+        uint32_t at = place(c, c.align, c.size_bytes);
+        layout.const_off[c.name] = at;
+        mod.bank1.resize(off, 0);
+        std::copy(c.init.begin(), c.init.end(), mod.bank1.begin() + at);
     }
-    // ...then one 8-byte address slot per .global (loader fills these).
     for (const VarDecl &g : ast.globals) {
-        off = alignUp(off, 8);
-        layout.global_slot[g.name] = off;
+        uint32_t at = place(g, 8, 8);
+        layout.global_slot[g.name] = at;
         GlobalVar gv;
         gv.name = g.name;
         gv.size_bytes = g.size_bytes;
-        gv.addr_slot = off;
+        gv.addr_slot = at;
         gv.init = g.init;
         mod.globals.push_back(std::move(gv));
-        off += 8;
     }
     mod.bank1.resize(off, 0);
 

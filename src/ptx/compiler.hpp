@@ -31,6 +31,21 @@ struct CompileError {
     int line = 0;
 };
 
+// Resource caps: source that exceeds one is rejected with a
+// CompileError, so a declaration can neither exhaust host memory nor
+// wrap a size.  The last three mirror CUDA's limits.
+
+/** Virtual registers one function may declare. */
+constexpr uint64_t kMaxRegisters = 1 << 16;
+/** Bytes in one variable; the default device holds 96 MiB. */
+constexpr uint64_t kMaxVarBytes = 128ull << 20;
+/** Static .shared bytes per function. */
+constexpr uint64_t kMaxSharedBytes = 48 << 10;
+/** .local bytes per thread per function. */
+constexpr uint64_t kMaxLocalBytes = 512 << 10;
+/** Bytes in a module's constant bank: .const data plus global slots. */
+constexpr uint64_t kMaxConstBytes = 64 << 10;
+
 /** Kind of one kernel/function parameter. */
 enum class ParamKind : uint8_t { U32 = 0, U64 = 1 };
 

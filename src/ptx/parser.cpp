@@ -186,12 +186,13 @@ class Parser
     {
         // (type already consumed by caller for .global/.const;
         //  here parse: .u32 name[(N)]? (= init)? ;
+        VarDecl v;
+        v.line = peek().line;
         RegClass cls;
         unsigned ebytes;
         expectTypeToken(cls, ebytes);
         if (ebytes == 0)
             error(".pred variables are not supported");
-        VarDecl v;
         v.align = ebytes < 4 ? 4 : ebytes;
         v.name = expectIdent();
         uint64_t count = 1;
@@ -199,6 +200,11 @@ class Parser
             count = static_cast<uint64_t>(expectInt());
             expectPunct("]");
         }
+        // Also rejects negative counts, which wrap to huge ones.
+        if (count > kMaxVarBytes / ebytes)
+            error(strfmt("variable '%s' is larger than %llu bytes",
+                         v.name.c_str(),
+                         static_cast<unsigned long long>(kMaxVarBytes)));
         v.size_bytes = count * ebytes;
         if (acceptPunct("=")) {
             v.init = parseInit(ebytes, count);
@@ -305,10 +311,18 @@ class Parser
         unsigned ebytes;
         expectTypeToken(cls, ebytes);
         while (true) {
+            // %r<N> declares %r0 .. %r(N-1); a bare name declares one.
             std::string name = expectIdent();
-            if (acceptPunct("<")) {
-                int64_t n = expectInt();
+            bool range = acceptPunct("<");
+            int64_t n = range ? expectInt() : 1;
+            if (range)
                 expectPunct(">");
+            if (n < 0 ||
+                fn.regs.size() + static_cast<uint64_t>(n) > kMaxRegisters)
+                error(strfmt("'%s' declares more than %llu registers",
+                             fn.name.c_str(),
+                             static_cast<unsigned long long>(kMaxRegisters)));
+            if (range) {
                 for (int64_t i = 0; i < n; ++i)
                     fn.regs[strfmt("%s%lld", name.c_str(),
                                    static_cast<long long>(i))] = cls;

@@ -65,6 +65,28 @@ class DriverTest : public ::testing::Test
         resetDriver();
     }
 
+    /** The context still loads, launches and reads back vecadd. */
+    void
+    expectVecAddRuns()
+    {
+        CUmodule mod = nullptr;
+        ASSERT_EQ(cuModuleLoadData(&mod, kVecAdd, 0), CUDA_SUCCESS);
+        CUfunction fn = nullptr;
+        ASSERT_EQ(cuModuleGetFunction(&fn, mod, "vecadd"), CUDA_SUCCESS);
+        uint32_t n = 128;
+        std::vector<float> host(n, 1.0f);
+        CUdeviceptr d = 0;
+        ASSERT_EQ(cuMemAlloc(&d, n * 4), CUDA_SUCCESS);
+        ASSERT_EQ(cuMemcpyHtoD(d, host.data(), n * 4), CUDA_SUCCESS);
+        void *params[] = {&d, &d, &d, &n};
+        ASSERT_EQ(cuLaunchKernel(fn, 1, 1, 1, n, 1, 1, 0, nullptr, params,
+                                 nullptr),
+                  CUDA_SUCCESS);
+        ASSERT_EQ(cuMemcpyDtoH(host.data(), d, n * 4), CUDA_SUCCESS);
+        EXPECT_FLOAT_EQ(host[0], 2.0f);
+        EXPECT_FLOAT_EQ(host[n - 1], 2.0f);
+    }
+
     CUcontext ctx_ = nullptr;
 };
 
@@ -219,6 +241,27 @@ TEST_F(DriverTest, MalformedPtxRejected)
               CUDA_ERROR_INVALID_IMAGE);
 }
 
+// PTX that used to panic (undefined label), hang (register range) or
+// load with a wrapped or narrowed size is an invalid image, and the
+// context stays usable.
+TEST_F(DriverTest, PtxPastFrontEndCapsRejected)
+{
+    for (const char *src : {
+             ".visible .entry k() {\n.reg .pred %p<2>;\n"
+             "@%p1 bra NOWHERE;\nexit;\n}\n",
+             ".visible .entry k() {\n.reg .f32 %f<99999999999>;\n"
+             "exit;\n}\n",
+             ".global .b32 g[4611686018427387905];\n"
+             ".visible .entry k() { exit; }\n",
+             ".visible .entry k() {\n.shared .b8 s[99999999999];\n"
+             "exit;\n}\n"}) {
+        CUmodule mod = nullptr;
+        EXPECT_EQ(cuModuleLoadData(&mod, src, 0), CUDA_ERROR_INVALID_IMAGE)
+            << src;
+    }
+    expectVecAddRuns();
+}
+
 TEST_F(DriverTest, TruncatedBinaryImageRejected)
 {
     ptx::CompiledModule cm = ptx::compile(kVecAdd, device().family());
@@ -276,21 +319,7 @@ class MalformedImageTest : public DriverTest
         EXPECT_EQ(cuModuleLoadData(&mod, image.data(), image.size()),
                   CUDA_ERROR_INVALID_IMAGE);
 
-        ASSERT_EQ(cuModuleLoadData(&mod, kVecAdd, 0), CUDA_SUCCESS);
-        CUfunction fn = nullptr;
-        ASSERT_EQ(cuModuleGetFunction(&fn, mod, "vecadd"), CUDA_SUCCESS);
-        uint32_t n = 128;
-        std::vector<float> host(n, 1.0f);
-        CUdeviceptr d = 0;
-        ASSERT_EQ(cuMemAlloc(&d, n * 4), CUDA_SUCCESS);
-        ASSERT_EQ(cuMemcpyHtoD(d, host.data(), n * 4), CUDA_SUCCESS);
-        void *params[] = {&d, &d, &d, &n};
-        ASSERT_EQ(cuLaunchKernel(fn, 1, 1, 1, n, 1, 1, 0, nullptr, params,
-                                 nullptr),
-                  CUDA_SUCCESS);
-        ASSERT_EQ(cuMemcpyDtoH(host.data(), d, n * 4), CUDA_SUCCESS);
-        EXPECT_FLOAT_EQ(host[0], 2.0f);
-        EXPECT_FLOAT_EQ(host[n - 1], 2.0f);
+        expectVecAddRuns();
     }
 };
 

@@ -4,7 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mem/device_memory.hpp"
+#include "resident.hpp"
 
 namespace nvbit::mem {
 namespace {
@@ -87,6 +90,38 @@ TEST(DeviceMemory, ManySmallAllocationsAreDistinct)
     std::sort(ptrs.begin(), ptrs.end());
     for (size_t i = 1; i < ptrs.size(); ++i)
         EXPECT_GE(ptrs[i], ptrs[i - 1] + 40);
+}
+
+// Constructing a device writes nothing: its pages are zero-filled on
+// first touch, so resident memory grows by bookkeeping only.
+TEST(DeviceMemory, DefaultSizeCostsNoResidentMemoryUntilTouched)
+{
+    int64_t before = test::residentKiB();
+    DeviceMemory m;
+    int64_t grown = test::residentKiB() - before;
+    if (test::kCallocIsLazy) {
+        EXPECT_LT(grown, test::kUntouchedBoundKiB) << grown << " KiB";
+    }
+    EXPECT_EQ(m.read64(4096), 0u);
+    EXPECT_EQ(m.read64(m.size() / 2), 0u);
+    EXPECT_EQ(m.read64(m.size() - 8), 0u);
+}
+
+// The zeros must come from the allocator, not from luck: a block that
+// recycles dirty heap memory still reads zero everywhere.
+TEST(DeviceMemory, RecycledHeapBlockReadsZero)
+{
+    constexpr size_t kBytes = 64 << 10;
+    const std::vector<uint8_t> ones(kBytes - 4096, 0xFF);
+    {
+        DeviceMemory dirty(kBytes);
+        dirty.write(4096, ones.data(), ones.size());
+    }
+    DeviceMemory m(kBytes);
+    std::vector<uint8_t> got(ones.size(), 0xAA);
+    m.read(4096, got.data(), got.size());
+    EXPECT_EQ(std::count(got.begin(), got.end(), 0),
+              static_cast<std::ptrdiff_t>(got.size()));
 }
 
 } // namespace

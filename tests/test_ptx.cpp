@@ -329,5 +329,81 @@ TEST(PtxErrors, PredicateExhaustion)
     EXPECT_THROW(compile(src, ArchFamily::SM5x), CompileError);
 }
 
+/** Source line of the CompileError @p src raises, or 0 if none. */
+int
+errorLine(const std::string &src)
+{
+    try {
+        compile(src, ArchFamily::SM5x);
+    } catch (const CompileError &e) {
+        return e.line;
+    }
+    return 0;
+}
+
+TEST(PtxErrors, UndefinedBranchLabel)
+{
+    const char *src = R"(
+.visible .entry k() {
+    .reg .pred %p<2>;
+    @%p1 bra NOWHERE;
+    exit;
+}
+)";
+    EXPECT_THROW(compile(src, ArchFamily::SM5x), CompileError);
+    EXPECT_EQ(errorLine(src), 4);
+}
+
+// A register range is expanded name by name, so an unbounded count
+// would never finish.
+TEST(PtxErrors, RegisterRangePastCap)
+{
+    const char *src = R"(
+.visible .entry k() {
+    .reg .f32 %f<99999999999>;
+    exit;
+}
+)";
+    EXPECT_THROW(compile(src, ArchFamily::SM5x), CompileError);
+    EXPECT_EQ(errorLine(src), 3);
+    EXPECT_EQ(errorLine(".visible .entry k() {\n.reg .u32 %r<" +
+                       std::to_string(kMaxRegisters + 1) +
+                       ">;\nexit;\n}\n"),
+              2);
+}
+
+// Sizes must neither wrap (4 x 2^62 + 4 is 4 in 64 bits) nor narrow
+// to the 32-bit shared-memory and frame sizes.
+TEST(PtxErrors, ArraySizesPastCaps)
+{
+    const char *wrap = R"(
+.global .b32 g[4611686018427387905];
+.visible .entry k() { exit; }
+)";
+    EXPECT_THROW(compile(wrap, ArchFamily::SM5x), CompileError);
+    EXPECT_EQ(errorLine(wrap), 2);
+    EXPECT_EQ(errorLine(R"(
+.visible .entry k() {
+    .shared .b8 s[99999999999];
+    exit;
+}
+)"),
+              3);
+    // Two variables, so the per-function caps apply to the total.
+    auto kernelWith = [](const std::string &space, uint64_t bytes) {
+        return ".visible .entry k() {\n" + space + " .b8 a[16];\n" +
+               space + " .b8 b[" + std::to_string(bytes - 16) +
+               "];\nexit;\n}\n";
+    };
+    EXPECT_EQ(errorLine(kernelWith(".shared", kMaxSharedBytes)), 0);
+    EXPECT_EQ(errorLine(kernelWith(".shared", kMaxSharedBytes + 1)), 3);
+    EXPECT_EQ(errorLine(kernelWith(".local", kMaxLocalBytes)), 0);
+    EXPECT_EQ(errorLine(kernelWith(".local", kMaxLocalBytes + 1)), 3);
+    std::string consts =
+        ".const .b8 c[" + std::to_string(kMaxConstBytes) + "];\n" +
+        ".global .u32 g;\n.visible .entry k() { exit; }\n";
+    EXPECT_EQ(errorLine(consts), 2);
+}
+
 } // namespace
 } // namespace nvbit::ptx

@@ -29,9 +29,11 @@
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
 #include "engine_matrix.hpp"
+#include "mem/device_memory.hpp"
 #include "mem/shadow_memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sanitizer.hpp"
+#include "resident.hpp"
 #include "sim/launch.hpp"
 #include "tools/sancheck.hpp"
 #include "workloads/workloads.hpp"
@@ -147,6 +149,23 @@ TEST(ShadowMemoryTest, RebuildFromLiveMarksBlocksInitialized)
     EXPECT_TRUE(sh.rangeAddressable(1024, 32));
     EXPECT_TRUE(sh.rangeInitialized(1024, 32));
     EXPECT_FALSE(sh.rangeAddressable(0, 4));
+}
+
+// Attaching a shadow to a default-size device writes nothing: the flag
+// bytes start clear and are zero-filled on first touch.
+TEST(ShadowMemoryTest, DefaultSizeCostsNoResidentMemoryUntilTouched)
+{
+    int64_t before = test::residentKiB();
+    mem::ShadowMemory sh(mem::DeviceMemory::kDefaultSize);
+    int64_t grown = test::residentKiB() - before;
+    if (test::kCallocIsLazy) {
+        EXPECT_LT(grown, test::kUntouchedBoundKiB) << grown << " KiB";
+    }
+    for (mem::DevPtr p : {mem::DevPtr{0}, mem::DevPtr{sh.size() / 2},
+                          mem::DevPtr{sh.size() - 1}}) {
+        EXPECT_FALSE(sh.rangeAddressable(p, 1)) << p;
+        EXPECT_FALSE(sh.rangeInitialized(p, 1)) << p;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -202,11 +202,23 @@ class TelemetryTest : public ::testing::Test
         ::unsetenv("NVBIT_SIM_LOG_LEVEL");
         ::unsetenv("NVBIT_SIM_SLO_P99_US");
         ::unsetenv("NVBIT_SIM_WATCHDOG_CYCLES");
-        for (const char *f :
-             {"test_telemetry.prom", "test_telemetry_trace.json",
-              "test_telemetry_log.jsonl"})
-            std::remove(f);
+        for (const std::string &f : {promPath(), tracePath(), logPath()})
+            std::remove(f.c_str());
     }
+
+    // Output files are named after the running test: ctest runs each
+    // test as its own process in one directory, so shared names would
+    // let parallel tests overwrite or delete each other's files.
+    static std::string
+    outPath(const char *suffix)
+    {
+        const ::testing::TestInfo *t =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        return std::string("test_telemetry_") + t->name() + suffix;
+    }
+    static std::string promPath() { return outPath(".prom"); }
+    static std::string tracePath() { return outPath("_trace.json"); }
+    static std::string logPath() { return outPath("_log.jsonl"); }
 };
 
 // ---------------------------------------------------------------------
@@ -347,7 +359,7 @@ TEST_F(TelemetryTest, PublisherFileModeTracksRegistry)
     obs::MetricsRegistry &mr = obs::MetricsRegistry::instance();
     obs::TelemetryPublisher &pub = obs::TelemetryPublisher::instance();
     mr.add("driver.launches", 3);
-    ASSERT_TRUE(pub.start("test_telemetry.prom", 5));
+    ASSERT_TRUE(pub.start(promPath(), 5));
     EXPECT_TRUE(pub.running());
     uint64_t first = pub.scrapeCount();
     // The publisher keeps scraping on its own.
@@ -358,7 +370,7 @@ TEST_F(TelemetryTest, PublisherFileModeTracksRegistry)
     pub.stop();
     EXPECT_FALSE(pub.running());
     // stop() leaves a final snapshot equal to the registry end state.
-    std::string payload = readFile("test_telemetry.prom");
+    std::string payload = readFile(promPath());
     EXPECT_EQ(promValue(payload, "nvbit_driver_launches"), 7u);
     EXPECT_EQ(promValue(payload, "nvbit_metrics_epoch"), mr.epoch());
 }
@@ -407,13 +419,13 @@ TEST_F(TelemetryTest, FileModeCollectorRunsWhileRegistryIdle)
     pub.setCollector(
         [] { obs::SloMonitor::instance().publishGauges(nowNs()); });
     slo.recordOp(0, 100, false, nowNs());
-    ASSERT_TRUE(pub.start("test_telemetry.prom", 5));
+    ASSERT_TRUE(pub.start(promPath(), 5));
     // The op shows up in the windowed gauge first, then ages out of
     // the window with no further registry traffic — visible only if
     // the collector ran on an idle registry.
     bool saw_one = false, saw_zero = false;
     for (int i = 0; i < 400 && !saw_zero; ++i) {
-        std::string payload = readFile("test_telemetry.prom");
+        std::string payload = readFile(promPath());
         uint64_t ops = promValue(
             payload, "nvbit_slo_window_ops{tenant=\"0\"}");
         if (ops == 1)
@@ -483,7 +495,7 @@ TEST_F(TelemetryTest, SocketScraperHangupDoesNotKillProcess)
 // NVBIT_SIM_METRICS export would serialise.
 TEST_F(TelemetryTest, LiveScrapeMatchesEndOfRunExport)
 {
-    ::setenv("NVBIT_SIM_TELEMETRY", "test_telemetry.prom", 1);
+    ::setenv("NVBIT_SIM_TELEMETRY", promPath().c_str(), 1);
     ::setenv("NVBIT_SIM_TELEMETRY_PERIOD_MS", "5", 1);
     checkCu(cuInit(0), "init");
     EXPECT_TRUE(obs::TelemetryPublisher::instance().running());
@@ -498,7 +510,7 @@ TEST_F(TelemetryTest, LiveScrapeMatchesEndOfRunExport)
     EXPECT_EQ(promValue(live, "nvbit_metrics_epoch") % 2, 0u);
     resetDriver(); // stops the publisher, writes the final snapshot
     EXPECT_FALSE(obs::TelemetryPublisher::instance().running());
-    std::string payload = readFile("test_telemetry.prom");
+    std::string payload = readFile(promPath());
     obs::MetricsRegistry &mr = obs::MetricsRegistry::instance();
     EXPECT_EQ(promValue(payload, "nvbit_driver_launches"),
               mr.value("driver.launches"));
@@ -510,7 +522,7 @@ TEST_F(TelemetryTest, LiveScrapeMatchesEndOfRunExport)
 // collector cleared, before the service goes down).  Run under TSan.
 TEST_F(TelemetryTest, ScrapeDuringResetIsSafe)
 {
-    ::setenv("NVBIT_SIM_TELEMETRY", "test_telemetry.prom", 1);
+    ::setenv("NVBIT_SIM_TELEMETRY", promPath().c_str(), 1);
     ::setenv("NVBIT_SIM_TELEMETRY_PERIOD_MS", "1", 1);
     checkCu(cuInit(0), "init");
     runVecaddLoad(5);
@@ -683,7 +695,7 @@ flowIdsOf(const std::string &doc, char ph, const std::string &cat)
 TEST_F(TelemetryTest, FlowPairsMatchAndDecompositionSums)
 {
     obs::Tracer &tr = obs::Tracer::instance();
-    tr.enableToFile("test_telemetry_trace.json");
+    tr.enableToFile(tracePath());
     checkCu(cuInit(0), "init");
 
     CUcontext ctx = nullptr;
@@ -718,9 +730,9 @@ TEST_F(TelemetryTest, FlowPairsMatchAndDecompositionSums)
     }
     checkCu(cuCtxDestroy(ctx), "dtor");
     resetDriver();
-    ASSERT_EQ(tr.disableAndFlush(), "test_telemetry_trace.json");
+    ASSERT_EQ(tr.disableAndFlush(), tracePath());
 
-    std::string doc = readFile("test_telemetry_trace.json");
+    std::string doc = readFile(tracePath());
     // Every stream-op flow that begins also steps and ends, with the
     // same id exactly once per phase.
     auto begins = flowIdsOf(doc, 's', "stream.op");
@@ -781,7 +793,7 @@ TEST_F(TelemetryTest, CancelledWaitClosesDependencyEdge)
     // that drainContext's watchdog-bounded wait stays short.
     ::setenv("NVBIT_SIM_WATCHDOG_CYCLES", "2000000", 1);
     obs::Tracer &tr = obs::Tracer::instance();
-    tr.enableToFile("test_telemetry_trace.json");
+    tr.enableToFile(tracePath());
     checkCu(cuInit(0), "init");
     CUcontext ctx = nullptr;
     checkCu(cuCtxCreate(&ctx, 0, 0), "ctx");
@@ -800,8 +812,8 @@ TEST_F(TelemetryTest, CancelledWaitClosesDependencyEdge)
     checkCu(cuStreamWaitEvent(s2, ev, 0), "wait");
     cuCtxDestroy(ctx); // cancels both queued ops; watchdog result ok
     resetDriver();
-    ASSERT_EQ(tr.disableAndFlush(), "test_telemetry_trace.json");
-    std::string doc = readFile("test_telemetry_trace.json");
+    ASSERT_EQ(tr.disableAndFlush(), tracePath());
+    std::string doc = readFile(tracePath());
     auto begins = flowIdsOf(doc, 's', "stream.op");
     auto ends = flowIdsOf(doc, 'f', "stream.op");
     EXPECT_GT(begins.size(), 0u);
@@ -829,11 +841,10 @@ TEST_F(TelemetryTest, TelemetryIsPassive)
     resetDriver();
     obs::MetricsRegistry::instance().reset();
 
-    ::setenv("NVBIT_SIM_TELEMETRY", "test_telemetry.prom", 1);
+    ::setenv("NVBIT_SIM_TELEMETRY", promPath().c_str(), 1);
     ::setenv("NVBIT_SIM_TELEMETRY_PERIOD_MS", "2", 1);
-    obs::Tracer::instance().enableToFile("test_telemetry_trace.json");
-    obs::StructuredLog::instance().enableToFile(
-        "test_telemetry_log.jsonl");
+    obs::Tracer::instance().enableToFile(tracePath());
+    obs::StructuredLog::instance().enableToFile(logPath());
     checkCu(cuInit(0), "init");
     runVecaddLoad(10);
     std::string on = exactCounters();
@@ -852,7 +863,7 @@ TEST_F(TelemetryTest, LogRingLevelsAndOverflow)
     log.log(obs::LogLevel::Error, "test", "dropped when disabled");
     EXPECT_EQ(log.size(), 0u);
 
-    log.enableToFile("test_telemetry_log.jsonl", obs::LogLevel::Info);
+    log.enableToFile(logPath(), obs::LogLevel::Info);
     EXPECT_TRUE(log.enabled(obs::LogLevel::Info));
     EXPECT_FALSE(log.enabled(obs::LogLevel::Debug));
     log.log(obs::LogLevel::Debug, "test", "below the level");
@@ -860,8 +871,8 @@ TEST_F(TelemetryTest, LogRingLevelsAndOverflow)
             {{"answer", "42"}, {"quote", "say \"hi\""}});
     log.log(obs::LogLevel::Warn, "test", "warned");
     EXPECT_EQ(log.size(), 2u);
-    EXPECT_EQ(log.flush(), "test_telemetry_log.jsonl");
-    std::string doc = readFile("test_telemetry_log.jsonl");
+    EXPECT_EQ(log.flush(), logPath());
+    std::string doc = readFile(logPath());
     EXPECT_NE(doc.find("\"level\": \"info\""), std::string::npos);
     EXPECT_NE(doc.find("\"component\": \"test\""), std::string::npos);
     EXPECT_NE(doc.find("\"answer\": \"42\""), std::string::npos);
@@ -875,7 +886,7 @@ TEST_F(TelemetryTest, LogRingLevelsAndOverflow)
     EXPECT_EQ(log.size(), 4096u);
     EXPECT_GT(log.dropped(), 0u);
     log.flush();
-    doc = readFile("test_telemetry_log.jsonl");
+    doc = readFile(logPath());
     EXPECT_NE(doc.find("dropped"), std::string::npos);
     EXPECT_EQ(doc.find("\"msg\": \"hello\""), std::string::npos);
 }
@@ -885,8 +896,7 @@ TEST_F(TelemetryTest, LogRingLevelsAndOverflow)
 TEST_F(TelemetryTest, FaultPathFlushesLog)
 {
     ::setenv("NVBIT_SIM_WATCHDOG_CYCLES", "20000", 1);
-    obs::StructuredLog::instance().enableToFile(
-        "test_telemetry_log.jsonl");
+    obs::StructuredLog::instance().enableToFile(logPath());
     checkCu(cuInit(0), "init");
     CUcontext ctx = nullptr;
     checkCu(cuCtxCreate(&ctx, 0, 0), "ctx");
@@ -897,7 +907,7 @@ TEST_F(TelemetryTest, FaultPathFlushesLog)
         r = cuCtxSynchronize();
     EXPECT_NE(r, CUDA_SUCCESS);
     // No flush() here: the fault path must have written the file.
-    std::string doc = readFile("test_telemetry_log.jsonl");
+    std::string doc = readFile(logPath());
     EXPECT_NE(doc.find("\"level\": \"error\""), std::string::npos);
     EXPECT_NE(doc.find("trapped"), std::string::npos);
     EXPECT_NE(doc.find("\"kernel\": \"hang\""), std::string::npos);
