@@ -4,8 +4,11 @@
 # guard and the repo benchmark's self-test, then the same test suite
 # under ASan+UBSan via the `sanitize` CMake preset and the
 # driver/concurrency suites under ThreadSanitizer via the `tsan`
-# preset (the multi-tenant stress and chaos tests are only meaningful
-# race-free).
+# preset (the multi-tenant stress and chaos tests, and the grid-order
+# reduction suite `test_reductions`, are only meaningful race-free).
+#
+# The `concurrency` label (`ctest -L concurrency`) selects
+# test_mt_driver and test_reductions.
 #
 # Usage: scripts/ci.sh [--no-sanitize]
 #
@@ -69,7 +72,7 @@ if [[ "$run_sanitize" == 1 ]]; then
     cmake --preset sanitize
     cmake --build --preset sanitize -j "$jobs"
 
-    echo "==> sanitize: ctest"
+    echo "==> sanitize: ctest (includes the concurrency suites: test_mt_driver, test_reductions)"
     ctest --preset sanitize
 
     echo "==> sanitize: ctest (traced execution engine)"
@@ -85,7 +88,7 @@ if [[ "$run_sanitize" == 1 ]]; then
     cmake --preset tsan
     cmake --build --preset tsan -j "$jobs"
 
-    echo "==> tsan: ctest (driver + concurrency + telemetry + sancheck suites)"
+    echo "==> tsan: ctest (driver + concurrency [test_mt_driver, test_reductions] + telemetry + sancheck suites)"
     ctest --preset tsan
 fi
 

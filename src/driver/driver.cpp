@@ -1539,6 +1539,12 @@ cuLaunchKernel(CUfunction fn, unsigned grid_x, unsigned grid_y,
     const bool legacy = stream == nullptr;
     if (!legacy && (!ctx || !svc.streamBelongsTo(stream, ctx)))
         return scope.status() = CUDA_ERROR_INVALID_HANDLE;
+    // Static plus dynamic shared memory must fit one SM; the sum is
+    // taken in 64 bits so a huge dynamic size cannot wrap past it.
+    const sim::GpuDevice &gpu = ctx ? *ctx->gpu : device();
+    if (uint64_t{fn->shared_bytes} + shared_bytes >
+        gpu.config().smem_per_sm)
+        return scope.status() = CUDA_ERROR_INVALID_VALUE;
 
     sim::LaunchParams lp;
     lp.entry_pc = fn->code_addr;

@@ -205,6 +205,28 @@ readFunc(Reader &r, FuncImage &f)
     return r.ok();
 }
 
+/**
+ * Everything the launch path trusts about a function: each parameter
+ * is a known kind lying inside bank 0, the resource sizes are within
+ * the compiler's caps, and the code is whole instructions.
+ */
+bool
+validFunc(const FuncImage &f, size_t ib)
+{
+    if (f.param_bytes > ptx::kMaxConstBytes ||
+        f.shared_bytes > ptx::kMaxSharedBytes ||
+        f.frame_bytes > ptx::kMaxLocalBytes || f.code.size() % ib != 0)
+        return false;
+    for (const ptx::ParamInfo &p : f.params) {
+        if (p.kind != ptx::ParamKind::U32 && p.kind != ptx::ParamKind::U64)
+            return false;
+        if (uint64_t{p.bank0_offset} + ptx::paramBytes(p.kind) >
+            f.param_bytes)
+            return false;
+    }
+    return true;
+}
+
 FuncImage
 toImage(const ptx::CompiledFunction &cf, isa::ArchFamily family)
 {
@@ -302,7 +324,7 @@ deserializeModule(const void *image, size_t size, ModuleData &out)
     uint32_t nfn = r.u32();
     for (uint32_t i = 0; i < nfn && r.ok(); ++i) {
         FuncImage f;
-        if (!readFunc(r, f))
+        if (!readFunc(r, f) || !validFunc(f, ib))
             return false;
         // placeModule patches the CAL each relocation names.
         for (const ptx::CallReloc &rl : f.relocs) {

@@ -96,13 +96,18 @@ DeviceMemory::free(DevPtr addr)
     }
 }
 
+bool
+DeviceMemory::inRange(DevPtr addr, size_t bytes) const
+{
+    return addr >= kFirstUsable && addr + bytes <= size_ &&
+           addr + bytes >= addr;
+}
+
 void
 DeviceMemory::checkRange(DevPtr addr, size_t bytes, bool is_write) const
 {
-    if (addr < kFirstUsable || addr + bytes > size_ ||
-        addr + bytes < addr) {
+    if (!inRange(addr, bytes))
         throw MemFault{addr, bytes, is_write};
-    }
 }
 
 void

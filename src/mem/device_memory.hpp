@@ -91,6 +91,10 @@ class DeviceMemory
     void read(DevPtr addr, void *out, size_t bytes) const;
     void write(DevPtr addr, const void *in, size_t bytes);
 
+    /** True if [addr, addr + bytes) lies inside the usable region —
+     *  the range check every accessor applies before touching it. */
+    bool inRange(DevPtr addr, size_t bytes) const;
+
     uint32_t read32(DevPtr addr) const;
     uint64_t read64(DevPtr addr) const;
     void write32(DevPtr addr, uint32_t v);

@@ -626,7 +626,7 @@ MetricsRegistry::reset()
         counters_.clear();
         histograms_.clear();
         launches_.clear();
-        launch_record_cap_ = kLaunchRecordCap;
+        launch_record_cap_ = kDefaultLaunchRecordCap;
         next_index_ = 0;
         dropped_records_ = 0;
         // epoch_ deliberately survives reset(): a monotonically

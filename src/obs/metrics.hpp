@@ -153,6 +153,13 @@ struct HistogramSnapshot {
 class MetricsRegistry
 {
   public:
+    /**
+     * Default cap on retained launch records.  Each record carries up
+     * to one SmShard per SM (~6 KB at 16 SMs), so the history is
+     * bounded at ~1.6 MB and peak memory stops growing with run length.
+     */
+    static constexpr size_t kDefaultLaunchRecordCap = 256;
+
     /** The process-wide registry. */
     static MetricsRegistry &instance();
 
@@ -234,7 +241,7 @@ class MetricsRegistry
     /**
      * Append a launch record (the simulator calls this once per
      * launch).  Returns the global launch ordinal assigned to it.
-     * Only the newest `kLaunchRecordCap` records are kept; the
+     * Only the newest launchRecordCap() records are kept; the
      * `dropped_launch_records` JSON field counts evictions.
      */
     uint64_t recordLaunch(LaunchRecord rec);
@@ -249,7 +256,7 @@ class MetricsRegistry
     uint64_t launchCount() const;
 
     /**
-     * Change the retained-history cap (default kLaunchRecordCap,
+     * Change the retained-history cap (default kDefaultLaunchRecordCap,
      * overridable via NVBIT_SIM_METRICS_HISTORY).  Shrinking evicts
      * oldest-first immediately and counts the drops.
      */
@@ -318,8 +325,6 @@ class MetricsRegistry
         Stability stability = Stability::Exact;
     };
 
-    static constexpr size_t kLaunchRecordCap = 4096;
-
     /** Evict past the cap, oldest-first (mu_ held). */
     void evictLocked();
 
@@ -366,7 +371,7 @@ class MetricsRegistry
     std::map<std::string, Counter, std::less<>> counters_;
     std::map<std::string, Histogram, std::less<>> histograms_;
     std::deque<LaunchRecord> launches_;
-    size_t launch_record_cap_ = kLaunchRecordCap;
+    size_t launch_record_cap_ = kDefaultLaunchRecordCap;
     uint64_t next_index_ = 0;
     uint64_t dropped_records_ = 0;
 };

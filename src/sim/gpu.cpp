@@ -191,7 +191,7 @@ GpuDevice::launch(const LaunchParams &lp)
                     obs::kDevicePid, static_cast<int>(sm),
                     strfmt("sm %u", sm));
 
-    AtomicGate gate(all.size());
+    AtomicGate gate(all.size(), *memory_);
     // An armed checkpoint forces serial orchestration so the capture
     // point is deterministic; the engine-equivalence contract makes
     // the launch result identical either way.
@@ -217,7 +217,7 @@ GpuDevice::launch(const LaunchParams &lp)
                     });
             }
             ex.runCta(lp, w, gate);
-            gate.markDone(w.cta_index);
+            gate.markDone(w.cta_index, ex.pendingReductions());
             if (arm != nullptr && !arm_captured_ &&
                 w.cta_index >= arm_cta_) {
                 // The armed CTA finished before the requested round:
@@ -266,14 +266,15 @@ GpuDevice::launch(const LaunchParams &lp)
         }
     }
 
-    return finishLaunch(lp, all, execs, per_sm);
+    return finishLaunch(lp, all, execs, per_sm, gate);
 }
 
 LaunchStats
 GpuDevice::finishLaunch(const LaunchParams &lp,
                         const std::vector<CtaWork> &all,
                         std::vector<std::unique_ptr<SmExecutor>> &execs,
-                        const std::vector<std::vector<CtaWork>> &per_sm)
+                        const std::vector<std::vector<CtaWork>> &per_sm,
+                        const AtomicGate &gate)
 {
     const unsigned nsm = cfg_.num_sms;
     if (fidelity_ == Fidelity::Full) {
@@ -342,7 +343,7 @@ GpuDevice::finishLaunch(const LaunchParams &lp,
                  : std::array<uint64_t, obs::kNumStallReasons>{};
 
     totals_.merge(stats);
-    publishLaunch(lp, stats, execs, per_sm);
+    publishLaunch(lp, stats, execs, per_sm, gate);
     return stats;
 }
 
@@ -434,9 +435,8 @@ GpuDevice::resumeLaunch(const GpuState &st)
     for (const CtaWork &w : all)
         per_sm[w.cta_index % nsm].push_back(w);
 
-    AtomicGate gate(all.size());
-    for (uint64_t i = 0; i < st.next_cta && i < all.size(); ++i)
-        gate.markDone(i);
+    AtomicGate gate(all.size(), *memory_,
+                    std::min<uint64_t>(st.next_cta, all.size()));
 
     // Completion runs serially: bit-identical to any engine config by
     // the serial/parallel equivalence contract.
@@ -448,17 +448,18 @@ GpuDevice::resumeLaunch(const GpuState &st)
             ex.resumeCta(lp, w, gate, *st.mid_cta);
         else
             ex.runCta(lp, w, gate);
-        gate.markDone(w.cta_index);
+        gate.markDone(w.cta_index, ex.pendingReductions());
     }
 
-    return finishLaunch(lp, all, execs, per_sm);
+    return finishLaunch(lp, all, execs, per_sm, gate);
 }
 
 void
 GpuDevice::publishLaunch(
     const LaunchParams &lp, const LaunchStats &stats,
     const std::vector<std::unique_ptr<SmExecutor>> &execs,
-    const std::vector<std::vector<CtaWork>> &per_sm)
+    const std::vector<std::vector<CtaWork>> &per_sm,
+    const AtomicGate &gate)
 {
     obs::MetricsRegistry &mr = obs::MetricsRegistry::instance();
     if (fidelity_ == Fidelity::Functional) {
@@ -526,6 +527,12 @@ GpuDevice::publishLaunch(
         txn.add("sim.decode_cache_hits", stats.decode_cache_hits,
                 obs::Stability::Volatile);
         txn.add("sim.decode_cache_misses", stats.decode_cache_misses,
+                obs::Stability::Volatile);
+        // How often, and for how long, a CTA blocked for the commit
+        // head: the host-side cost of grid-order atomics.
+        txn.add("sim.atomic_gate_waits", gate.waits(),
+                obs::Stability::Volatile);
+        txn.add("sim.atomic_gate_wait_ns", gate.waitNs(),
                 obs::Stability::Volatile);
 
         // Fixed bounds keep the bucket layout engine-invariant.

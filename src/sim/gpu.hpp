@@ -51,6 +51,7 @@
 namespace nvbit::sim {
 
 struct CtaWork;
+class AtomicGate;
 class SmExecutor;
 struct GpuState;
 
@@ -176,7 +177,8 @@ class GpuDevice
     LaunchStats finishLaunch(
         const LaunchParams &lp, const std::vector<CtaWork> &all,
         std::vector<std::unique_ptr<SmExecutor>> &execs,
-        const std::vector<std::vector<CtaWork>> &per_sm);
+        const std::vector<std::vector<CtaWork>> &per_sm,
+        const AtomicGate &gate);
 
     /** Fill the launch-independent capsule fields (memory/caches/totals). */
     void captureDevice(GpuState &out) const;
@@ -186,7 +188,8 @@ class GpuDevice
     void publishLaunch(
         const LaunchParams &lp, const LaunchStats &stats,
         const std::vector<std::unique_ptr<SmExecutor>> &execs,
-        const std::vector<std::vector<CtaWork>> &per_sm);
+        const std::vector<std::vector<CtaWork>> &per_sm,
+        const AtomicGate &gate);
 
     GpuConfig cfg_;
     std::unique_ptr<mem::DeviceMemory> memory_;

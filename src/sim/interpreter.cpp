@@ -10,6 +10,7 @@
 #include "mem/shadow_memory.hpp"
 #include "obs/sanitizer.hpp"
 #include "sim/lane_ops.hpp"
+#include "sim/reduction_log.hpp"
 
 namespace nvbit::sim {
 
@@ -18,56 +19,6 @@ using isa::Instruction;
 using isa::Opcode;
 
 namespace {
-
-uint64_t
-atomApply(isa::AtomOp op, DType dt, uint64_t old_v, uint64_t b, uint64_t c)
-{
-    using isa::AtomOp;
-    switch (op) {
-      case AtomOp::ADD:
-        if (dt == DType::F32)
-            return asBits(asF32(static_cast<uint32_t>(old_v)) +
-                          asF32(static_cast<uint32_t>(b)));
-        if (dt == DType::U64)
-            return old_v + b;
-        return static_cast<uint32_t>(old_v) + static_cast<uint32_t>(b);
-      case AtomOp::MIN:
-        if (dt == DType::S32)
-            return static_cast<uint32_t>(
-                std::min(static_cast<int32_t>(old_v),
-                         static_cast<int32_t>(b)));
-        if (dt == DType::F32)
-            return asBits(std::min(asF32(static_cast<uint32_t>(old_v)),
-                                   asF32(static_cast<uint32_t>(b))));
-        if (dt == DType::U64)
-            return std::min(old_v, b);
-        return std::min(static_cast<uint32_t>(old_v),
-                        static_cast<uint32_t>(b));
-      case AtomOp::MAX:
-        if (dt == DType::S32)
-            return static_cast<uint32_t>(
-                std::max(static_cast<int32_t>(old_v),
-                         static_cast<int32_t>(b)));
-        if (dt == DType::F32)
-            return asBits(std::max(asF32(static_cast<uint32_t>(old_v)),
-                                   asF32(static_cast<uint32_t>(b))));
-        if (dt == DType::U64)
-            return std::max(old_v, b);
-        return std::max(static_cast<uint32_t>(old_v),
-                        static_cast<uint32_t>(b));
-      case AtomOp::EXCH:
-        return b;
-      case AtomOp::CAS:
-        return old_v == b ? c : old_v;
-      case AtomOp::AND:
-        return old_v & b;
-      case AtomOp::OR:
-        return old_v | b;
-      case AtomOp::XOR:
-        return old_v ^ b;
-    }
-    return old_v;
-}
 
 /**
  * Bank-serialised transaction count for one warp shared-memory access.
@@ -169,11 +120,14 @@ Interpreter::sancheckEmit(obs::SanitizerFinding &&f, const ThreadCtx &t)
 
 void
 Interpreter::sancheckGlobal(const ThreadCtx &t, uint64_t addr,
-                            unsigned bytes, uint64_t pc, bool is_read,
-                            bool is_write)
+                            unsigned bytes, uint64_t pc, SanAccess acc)
 {
     if (shadow_ == nullptr || mm_.functionalMode())
         return;
+    const bool is_write = acc != SanAccess::Read;
+    const char *what = acc == SanAccess::Read    ? "read"
+                       : acc == SanAccess::Write ? "write"
+                                                 : "atomic";
     if ((sancheck_ & obs::kSancheckMemcheck) != 0) {
         uint64_t bad = 0;
         if (!shadow_->rangeAddressable(addr, bytes, &bad)) {
@@ -199,8 +153,7 @@ Interpreter::sancheckGlobal(const ThreadCtx &t, uint64_t addr,
             f.message = strfmt(
                 "invalid global %s of %u bytes at 0x%llx (byte 0x%llx "
                 "is %s)",
-                is_write ? (is_read ? "atomic" : "write") : "read",
-                bytes, static_cast<unsigned long long>(addr),
+                what, bytes, static_cast<unsigned long long>(addr),
                 static_cast<unsigned long long>(bad),
                 freed ? "in a freed allocation"
                       : "not in any live allocation");
@@ -208,7 +161,10 @@ Interpreter::sancheckGlobal(const ThreadCtx &t, uint64_t addr,
             return; // one report per access; skip the initcheck pass
         }
     }
-    if (is_read && (sancheck_ & obs::kSancheckInitcheck) != 0) {
+    // A reduction counts as a write: no old value reaches the
+    // program, so its findings cannot depend on commit timing.
+    if ((acc == SanAccess::Read || acc == SanAccess::Atomic) &&
+        (sancheck_ & obs::kSancheckInitcheck) != 0) {
         uint64_t bad = 0;
         if (shadow_->rangeAddressable(addr, bytes) &&
             !shadow_->rangeInitialized(addr, bytes, &bad)) {
@@ -223,7 +179,7 @@ Interpreter::sancheckGlobal(const ThreadCtx &t, uint64_t addr,
             f.message = strfmt(
                 "global %s of %u bytes at 0x%llx reads uninitialized "
                 "memory (first unwritten byte 0x%llx)",
-                is_write ? "atomic" : "read", bytes,
+                what, bytes,
                 static_cast<unsigned long long>(addr),
                 static_cast<unsigned long long>(bad));
             sancheckEmit(std::move(f), t);
@@ -335,6 +291,34 @@ Interpreter::onBarrierRelease()
 {
     if (!race_cells_.empty())
         std::fill(race_cells_.begin(), race_cells_.end(), RaceCell{});
+}
+
+void
+Interpreter::checkGlobal(uint64_t addr, unsigned bytes, uint64_t pc)
+{
+    if ((addr & (bytes - 1)) != 0)
+        memTrap(addr, pc, MemSpace::Global, false, true);
+    if (!mem_.inRange(addr, bytes))
+        memTrap(addr, pc, MemSpace::Global, false);
+}
+
+void
+Interpreter::commitOverlapping(const Instruction &in, const ThreadCtx *warp,
+                               uint32_t exec_mask)
+{
+    const ReductionLog &pending = mm_.pendingReductions();
+    if (pending.empty())
+        return;
+    const unsigned bytes = in.memAccessBytes();
+    for (unsigned l = 0; l < kWarpSize; ++l) {
+        if (((exec_mask >> l) & 1) &&
+            pending.overlaps(readPair(warp[l], in.ra) +
+                                 static_cast<uint64_t>(in.imm),
+                             bytes)) {
+            mm_.atomicFence();
+            return;
+        }
+    }
 }
 
 uint64_t
@@ -785,6 +769,7 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         GlobalAccess ga;
         ga.kind = GlobalAccess::Kind::Load;
         unsigned bytes = in.memAccessBytes();
+        commitOverlapping(in, warp, exec_mask);
         forEachExec([&](ThreadCtx &t, unsigned) {
             uint64_t addr = readPair(t, in.ra) +
                             static_cast<uint64_t>(in.imm);
@@ -793,7 +778,7 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
             ++ga.lanes;
             ga.bytes += bytes;
             if (sancheck_ != 0)
-                sancheckGlobal(t, addr, bytes, pc, true, false);
+                sancheckGlobal(t, addr, bytes, pc, SanAccess::Read);
             uint64_t v = loadGlobal(addr, bytes, pc);
             if (bytes == 8)
                 writePair(t, in.rd, v);
@@ -807,6 +792,7 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         GlobalAccess ga;
         ga.kind = GlobalAccess::Kind::Store;
         unsigned bytes = in.memAccessBytes();
+        commitOverlapping(in, warp, exec_mask);
         forEachExec([&](ThreadCtx &t, unsigned) {
             uint64_t addr = readPair(t, in.ra) +
                             static_cast<uint64_t>(in.imm);
@@ -817,7 +803,7 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
             uint64_t v = bytes == 8 ? readPair(t, in.rb)
                                     : readReg(t, in.rb);
             if (sancheck_ != 0)
-                sancheckGlobal(t, addr, bytes, pc, false, true);
+                sancheckGlobal(t, addr, bytes, pc, SanAccess::Write);
             storeGlobal(addr, bytes, v, pc);
         });
         mm_.accountGlobalAccess(ga);
@@ -914,8 +900,17 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         const isa::AtomOp aop = isa::modGetAtomOp(in.mod);
         const DType adt = isa::modGetAtomDType(in.mod);
         const unsigned bytes = (adt == DType::U64) ? 8 : 4;
-        if (exec_mask != 0)
-            mm_.atomicFence();
+        // A reduction never waits: it goes to this block's log unless
+        // the block is the commit head.  Any other atomic first
+        // becomes the head.
+        const bool red = isReduction(in);
+        ReductionLog *log = nullptr;
+        if (exec_mask != 0) {
+            if (red)
+                log = mm_.reductionLog();
+            else
+                mm_.atomicFence();
+        }
         forEachExec([&](ThreadCtx &t, unsigned) {
             uint64_t addr = readPair(t, in.ra) +
                             static_cast<uint64_t>(in.imm);
@@ -924,10 +919,18 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
             ++ga.lanes;
             ga.bytes += bytes;
             if (sancheck_ != 0)
-                sancheckGlobal(t, addr, bytes, pc, true, true);
-            uint64_t old_v = loadGlobal(addr, bytes, pc);
+                sancheckGlobal(t, addr, bytes, pc,
+                               red ? SanAccess::Reduction
+                                   : SanAccess::Atomic);
             uint64_t b = bytes == 8 ? readPair(t, in.rb)
                                     : readReg(t, in.rb);
+            if (log != nullptr) {
+                // Faults at issue, exactly as the direct path below.
+                checkGlobal(addr, bytes, pc);
+                log->add(addr, aop, adt, b);
+                return;
+            }
+            uint64_t old_v = loadGlobal(addr, bytes, pc);
             uint64_t c = bytes == 8 ? readPair(t, in.rc)
                                     : readReg(t, in.rc);
             uint64_t new_v = atomApply(aop, adt, old_v, b, c);

@@ -28,6 +28,8 @@ struct SanitizerFinding;
 
 namespace nvbit::sim {
 
+class ReductionLog;
+
 /**
  * One warp-level global-memory access, as observed by the interpreter
  * while it executed the lanes.  Traffic is recorded at 32-byte sector
@@ -76,12 +78,27 @@ class MemModel
     virtual void accountSharedAccess(const SharedAccess &a) = 0;
 
     /**
-     * Called before an ATOM's read-modify-write.  The parallel SM
-     * layer blocks here until every thread block with a smaller
-     * global index has terminated, which serialises atomics in grid
-     * order and keeps parallel results bit-identical to serial ones.
+     * Make the running thread block the commit head: block until every
+     * thread block with a smaller global index has retired, then
+     * commit this block's own pending reductions.  Called before a
+     * returning ATOM's read-modify-write and before a plain access
+     * that overlaps a pending reduction, which serialises atomics in
+     * grid order and keeps parallel results bit-identical to serial
+     * ones.
      */
     virtual void atomicFence() = 0;
+
+    /**
+     * Where the running block's next reduction goes: nullptr once it
+     * is the commit head (apply it now; becoming head commits the
+     * block's log first), otherwise the block's log, committed in grid
+     * order after it retires.  Never blocks.
+     */
+    virtual ReductionLog *reductionLog() = 0;
+
+    /** The running block's uncommitted reductions (the last block's
+     *  after it retires, traps or is skipped). */
+    virtual ReductionLog &pendingReductions() = 0;
 
     /**
      * True while the SM runs at Fidelity::Functional (SimPoint
@@ -129,8 +146,17 @@ class Interpreter
     void onBarrierRelease();
 
   private:
+    /** How a global access uses memory, for the sanitizer hooks. */
+    enum class SanAccess : uint8_t { Read, Write, Atomic, Reduction };
+
     [[noreturn]] void memTrap(uint64_t addr, uint64_t pc, MemSpace space,
                               bool write, bool misaligned = false);
+    /** Trap exactly as loadGlobal would, without the access. */
+    void checkGlobal(uint64_t addr, unsigned bytes, uint64_t pc);
+    /** Commit this block's pending reductions first if any lane of
+     *  plain access @p in overlaps one (own-CTA coherence). */
+    void commitOverlapping(const isa::Instruction &in,
+                           const ThreadCtx *warp, uint32_t exec_mask);
     uint64_t loadGlobal(uint64_t addr, unsigned bytes, uint64_t pc);
     void storeGlobal(uint64_t addr, unsigned bytes, uint64_t v,
                      uint64_t pc);
@@ -148,8 +174,7 @@ class Interpreter
     // record a structured finding and, under NVBIT_SIM_SANCHECK_FATAL,
     // throw a SanitizerError DeviceException instead of returning.
     void sancheckGlobal(const ThreadCtx &t, uint64_t addr,
-                        unsigned bytes, uint64_t pc, bool is_read,
-                        bool is_write);
+                        unsigned bytes, uint64_t pc, SanAccess acc);
     void sancheckShared(const ThreadCtx &t, uint64_t addr,
                         unsigned bytes, uint64_t pc, bool is_write);
     void sancheckBarrier(const ThreadCtx *warp, uint32_t exec_mask,

@@ -1,13 +1,15 @@
 /**
  * @file
  * Per-lane operation semantics shared by the interpreter switch
- * (interpreter.cpp) and the trace engine's strip handlers
- * (trace_exec.cpp).  Both include this one definition, so the two
+ * (interpreter.cpp), the trace engine's strip handlers
+ * (trace_exec.cpp) and the grid-order reduction log
+ * (reduction_log.hpp).  All include this one definition, so the
  * engines compute bit-identical results by construction.
  */
 #ifndef NVBIT_SIM_LANE_OPS_HPP
 #define NVBIT_SIM_LANE_OPS_HPP
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -108,6 +110,59 @@ mufuApply(isa::MufuOp op, float a)
       case isa::MufuOp::COS: return std::cos(a);
     }
     return 0.0f;
+}
+
+/** ATOM's new memory value from the old one and operands @p b/@p c. */
+inline uint64_t
+atomApply(isa::AtomOp op, isa::DType dt, uint64_t old_v, uint64_t b,
+          uint64_t c)
+{
+    using isa::AtomOp;
+    using isa::DType;
+    switch (op) {
+      case AtomOp::ADD:
+        if (dt == DType::F32)
+            return asBits(asF32(static_cast<uint32_t>(old_v)) +
+                          asF32(static_cast<uint32_t>(b)));
+        if (dt == DType::U64)
+            return old_v + b;
+        return static_cast<uint32_t>(old_v) + static_cast<uint32_t>(b);
+      case AtomOp::MIN:
+        if (dt == DType::S32)
+            return static_cast<uint32_t>(
+                std::min(static_cast<int32_t>(old_v),
+                         static_cast<int32_t>(b)));
+        if (dt == DType::F32)
+            return asBits(std::min(asF32(static_cast<uint32_t>(old_v)),
+                                   asF32(static_cast<uint32_t>(b))));
+        if (dt == DType::U64)
+            return std::min(old_v, b);
+        return std::min(static_cast<uint32_t>(old_v),
+                        static_cast<uint32_t>(b));
+      case AtomOp::MAX:
+        if (dt == DType::S32)
+            return static_cast<uint32_t>(
+                std::max(static_cast<int32_t>(old_v),
+                         static_cast<int32_t>(b)));
+        if (dt == DType::F32)
+            return asBits(std::max(asF32(static_cast<uint32_t>(old_v)),
+                                   asF32(static_cast<uint32_t>(b))));
+        if (dt == DType::U64)
+            return std::max(old_v, b);
+        return std::max(static_cast<uint32_t>(old_v),
+                        static_cast<uint32_t>(b));
+      case AtomOp::EXCH:
+        return b;
+      case AtomOp::CAS:
+        return old_v == b ? c : old_v;
+      case AtomOp::AND:
+        return old_v & b;
+      case AtomOp::OR:
+        return old_v | b;
+      case AtomOp::XOR:
+        return old_v ^ b;
+    }
+    return old_v;
 }
 
 } // namespace nvbit::sim

@@ -188,8 +188,22 @@ SmExecutor::accountSharedAccess(const SharedAccess &a)
 void
 SmExecutor::atomicFence()
 {
-    if (gate_ && cur_cta_)
-        gate_->waitForPriorCtas(cur_cta_->cta_index);
+    if (head_)
+        return;
+    gate_->waitForPriorCtas(cur_cta_->cta_index);
+    red_log_.applyTo(mem_);
+    head_ = true;
+}
+
+ReductionLog *
+SmExecutor::reductionLog()
+{
+    // Once every earlier CTA has retired, becoming the head never
+    // blocks: commit what this CTA logged so far and apply directly
+    // from here on.
+    if (!head_ && gate_->isHead(cur_cta_->cta_index))
+        atomicFence();
+    return head_ ? nullptr : &red_log_;
 }
 
 void
@@ -461,6 +475,7 @@ SmExecutor::runCtaFrom(const LaunchParams &lp, const CtaWork &w,
     cur_sched_ = &sched;
     cur_cta_ = &w;
     gate_ = &gate;
+    head_ = false;
 
     Interpreter interp(cfg_, mem_, lp, sm_, w.ctaid, local_, shared_,
                        cta_cycles_, *this);
@@ -669,7 +684,7 @@ SmExecutor::runAssigned(const LaunchParams &lp,
         if (w.cta_index < abort_before.load(std::memory_order_acquire)) {
             try {
                 runCta(lp, w, gate);
-                gate.markDone(w.cta_index);
+                gate.markDone(w.cta_index, red_log_);
                 continue;
             } catch (const DeviceException &e) {
                 if (!trap_ || w.cta_index < trap_->cta_index)
@@ -689,8 +704,10 @@ SmExecutor::runAssigned(const LaunchParams &lp,
                        cur, w.cta_index, std::memory_order_acq_rel))
                 ;
         }
-        // Aborted or trapped: release gate waiters on this CTA.
-        gate.markDone(w.cta_index);
+        // Aborted or trapped: release gate waiters on this CTA and
+        // commit the reductions a trapped CTA issued before its fault,
+        // as the serial path does.
+        gate.markDone(w.cta_index, red_log_);
     }
 }
 

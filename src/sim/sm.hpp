@@ -15,22 +15,30 @@
  *     its L1-miss lines and the orchestrator replays them against the
  *     L2 in global CTA order after the join — the exact sequence the
  *     serial order produces.
- *  3. Cross-CTA atomics commit in grid order: an ATOM in CTA k blocks
- *     on the AtomicGate until all CTAs with smaller global index have
- *     terminated.  This is deadlock-free because the smallest
- *     unfinished CTA never waits and every SM task runs on its own
- *     pool thread.
+ *  3. Cross-CTA atomics commit in grid order.  A returning ATOM in
+ *     CTA k blocks on the AtomicGate until all CTAs with smaller
+ *     global index have retired (CTA k is then the *commit head*),
+ *     and commits CTA k's own pending reductions before it reads.
+ *     Reductions (reduction_log.hpp) never block: a head applies them
+ *     directly, any other CTA logs them, and the gate applies each
+ *     retired CTA's log in grid order.  This is deadlock-free because
+ *     the smallest unfinished CTA never waits and every SM task runs
+ *     on its own pool thread.
  */
 #ifndef NVBIT_SIM_SM_HPP
 #define NVBIT_SIM_SM_HPP
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "mem/device_memory.hpp"
@@ -40,6 +48,7 @@
 #include "sim/interpreter.hpp"
 #include "sim/launch.hpp"
 #include "sim/predecode.hpp"
+#include "sim/reduction_log.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace_cache.hpp"
 #include "sim/warp_scheduler.hpp"
@@ -68,44 +77,100 @@ struct L2LogLine {
 };
 
 /**
- * Orders cross-CTA atomic commits: an atomic in CTA k proceeds only
- * after CTAs 0..k-1 have terminated, serialising atomics in grid
- * order so parallel results match serial ones bit-for-bit.
+ * Orders cross-CTA atomic commits.  CTA k is the *commit head* once
+ * CTAs 0..k-1 have retired and their reductions have been applied; a
+ * returning atomic proceeds only there.  Retired CTAs hand over their
+ * pending reductions, which are applied in grid order as the head
+ * advances, so parallel results match serial ones bit-for-bit.
  */
 class AtomicGate
 {
   public:
-    explicit AtomicGate(uint64_t num_ctas) : done_(num_ctas, 0) {}
+    /** @p retired leading CTAs count as already retired (a launch
+     *  resumed from a checkpoint). */
+    AtomicGate(uint64_t num_ctas, mem::DeviceMemory &mem,
+               uint64_t retired = 0)
+        : mem_(mem), done_(num_ctas, 0), next_(retired),
+          low_water_(retired)
+    {
+        std::fill_n(done_.begin(), retired, 1);
+    }
 
-    /** Block until every CTA with index < @p cta has terminated. */
+    /** True if CTA @p cta is the commit head (or already retired). */
+    bool
+    isHead(uint64_t cta) const
+    {
+        return low_water_.load(std::memory_order_acquire) >= cta;
+    }
+
+    /** Block until CTA @p cta is the commit head. */
     void
     waitForPriorCtas(uint64_t cta)
     {
-        if (low_water_.load(std::memory_order_acquire) >= cta)
+        if (isHead(cta))
             return;
         std::unique_lock<std::mutex> lk(mu_);
+        if (next_ >= cta)
+            return;
+        ++waits_;
+        const auto t0 = std::chrono::steady_clock::now();
         cv_.wait(lk, [&] { return next_ >= cta; });
+        wait_ns_ += static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
     }
 
-    /** Mark CTA @p cta terminated (or abandoned on abort). */
+    /**
+     * Retire CTA @p cta (or abandon it on trap/abort), taking its
+     * pending reductions, and apply every log the head now passes.
+     * Leaves @p log empty.
+     */
     void
-    markDone(uint64_t cta)
+    markDone(uint64_t cta, ReductionLog &log)
     {
         std::lock_guard<std::mutex> lk(mu_);
         done_[cta] = 1;
-        while (next_ < done_.size() && done_[next_])
+        if (!log.empty())
+            parked_.emplace(cta, std::exchange(log, {}));
+        while (next_ < done_.size() && done_[next_]) {
+            if (auto it = parked_.find(next_); it != parked_.end()) {
+                it->second.applyTo(mem_);
+                parked_.erase(it);
+            }
             ++next_;
+        }
         low_water_.store(next_, std::memory_order_release);
         cv_.notify_all();
     }
 
+    /** Times a CTA blocked in waitForPriorCtas, and the host
+     *  nanoseconds it spent there (self-observability). */
+    uint64_t
+    waits() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return waits_;
+    }
+    uint64_t
+    waitNs() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return wait_ns_;
+    }
+
   private:
-    std::mutex mu_;
+    mem::DeviceMemory &mem_;
+    mutable std::mutex mu_;
     std::condition_variable cv_;
     std::vector<char> done_;
-    /** CTAs 0..next_-1 are all done. */
+    /** Logs of retired CTAs the head has not reached yet. */
+    std::map<uint64_t, ReductionLog> parked_;
+    /** CTAs 0..next_-1 are all done and their logs applied. */
     uint64_t next_ = 0;
     std::atomic<uint64_t> low_water_{0};
+    uint64_t waits_ = 0;
+    uint64_t wait_ns_ = 0;
 };
 
 /**
@@ -263,6 +328,8 @@ class SmExecutor : public MemModel
     void accountGlobalAccess(const GlobalAccess &a) override;
     void accountSharedAccess(const SharedAccess &a) override;
     void atomicFence() override;
+    ReductionLog *reductionLog() override;
+    ReductionLog &pendingReductions() override { return red_log_; }
     bool functionalMode() const override { return functional_; }
 
   private:
@@ -398,6 +465,10 @@ class SmExecutor : public MemModel
     /** Current CTA context (valid while runCta is on the stack). */
     const CtaWork *cur_cta_ = nullptr;
     AtomicGate *gate_ = nullptr;
+    /** The running CTA is the commit head: its reductions apply
+     *  directly.  Until then they go to red_log_. */
+    bool head_ = false;
+    ReductionLog red_log_;
     std::vector<L2LogLine> cur_l2_log_;
     std::vector<std::pair<uint64_t, std::vector<L2LogLine>>> l2_logs_;
 

@@ -21,8 +21,9 @@
  * restore trampoline would execute — that elision is the paper's
  * Figure 5/8 speedup.  Tool-visible counters stay exactly equal to the
  * trampoline path because the probe body reproduces the trampoline's
- * ballot/popc/atomic-add arithmetic, grid-order serialised through the
- * same AtomicGate fence the ATOM instruction uses.
+ * ballot/popc/atomic-add arithmetic, and its counter updates are u64
+ * ADD reductions committed in grid order on the same path as a `RED`
+ * (applied directly by the commit head, logged by any other CTA).
  */
 #include "sim/sm.hpp"
 
@@ -419,37 +420,46 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                 }
                 const uint64_t P =
                     static_cast<uint64_t>(std::popcount(pm));
-                // Tool counters are global atomics: commit in grid
-                // order through the same gate ATOM uses.
-                atomicFence();
-                try {
-                    if (pr.warp_counter) {
-                        mem_.write64(pr.warp_counter,
-                                     mem_.read64(pr.warp_counter) +
-                                         pr.scale);
-                    }
-                    if (P != 0) {
-                        if (pr.thread_counter) {
-                            mem_.write64(
-                                pr.thread_counter,
-                                mem_.read64(pr.thread_counter) +
-                                    P * pr.scale);
-                        }
-                        if (pr.table_ptr) {
-                            const uint64_t base =
-                                mem_.read64(pr.table_ptr);
-                            const uint64_t slot =
-                                base +
-                                static_cast<uint64_t>(pr.index) * 8;
-                            mem_.write64(slot, mem_.read64(slot) +
-                                                   P * pr.scale);
-                        }
-                    }
-                } catch (const mem::DeviceMemory::MemFault &) {
-                    throw DeviceException::memFault(
+                // Tool counters are u64 ADD reductions: they commit in
+                // grid order on the same path as RED.
+                ReductionLog *log = reductionLog();
+                auto probeFault = [&]() {
+                    return DeviceException::memFault(
                         TrapCode::OutOfBoundsGlobal,
                         "inline probe counter access out of bounds",
                         e.pc, pr.table_ptr, MemSpace::Global, true);
+                };
+                auto count = [&](uint64_t addr, uint64_t v) {
+                    if ((addr & 7) != 0 || !mem_.inRange(addr, 8))
+                        throw probeFault();
+                    const Reduction r{addr, v, isa::AtomOp::ADD,
+                                      isa::DType::U64};
+                    if (log != nullptr)
+                        log->add(r.addr, r.op, r.dt, r.value);
+                    else
+                        applyReduction(mem_, r);
+                };
+                if (pr.warp_counter)
+                    count(pr.warp_counter, pr.scale);
+                if (P != 0) {
+                    if (pr.thread_counter)
+                        count(pr.thread_counter, P * pr.scale);
+                    if (pr.table_ptr) {
+                        // The table base is a plain load.
+                        if (log != nullptr &&
+                            log->overlaps(pr.table_ptr, 8)) {
+                            atomicFence();
+                            log = nullptr;
+                        }
+                        uint64_t base = 0;
+                        try {
+                            base = mem_.read64(pr.table_ptr);
+                        } catch (const mem::DeviceMemory::MemFault &) {
+                            throw probeFault();
+                        }
+                        count(base + static_cast<uint64_t>(pr.index) * 8,
+                              P * pr.scale);
+                    }
                 }
 
                 // 3) The displaced original, as a full issue slot at

@@ -47,7 +47,7 @@ const char *kPtx = R"(
     shl.b64 %rd2, %rd2, 3;
     add.u64 %rd1, %rd1, %rd2;
     cvt.u64.u32 %rd3, %a3;
-    atom.global.add.u64 %rd4, [%rd1], %rd3;
+    red.global.add.u64 [%rd1], %rd3;
 SKIP:
     ret;
 }
@@ -77,7 +77,7 @@ SKIP:
     shl.b64 %rd2, %rd2, 3;
     add.u64 %rd1, %rd1, %rd2;
     cvt.u64.u32 %rd3, %a3;
-    atom.global.add.u64 %rd4, [%rd1], %rd3;
+    red.global.add.u64 [%rd1], %rd3;
 SKIP:
     ret;
 }

@@ -38,7 +38,7 @@ const char *kPtx = R"(
     mul.wide.u32 %rd2, %a6, 8;
     add.u64 %rd3, %rd1, %rd2;
     mov.u64 %rd4, 1;
-    atom.global.add.u64 %rd5, [%rd3], %rd4;
+    red.global.add.u64 [%rd3], %rd4;
 
     setp.eq.u32 %p3, %a2, 0;       // nobody takes it: uniform
     @%p3 bra SKIP;
@@ -46,7 +46,7 @@ const char *kPtx = R"(
     @%p3 bra SKIP;
     mov.u64 %rd1, bdiv_div;
     add.u64 %rd3, %rd1, %rd2;
-    atom.global.add.u64 %rd5, [%rd3], %rd4;
+    red.global.add.u64 [%rd3], %rd4;
 SKIP:
     ret;
 }

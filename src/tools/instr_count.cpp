@@ -26,12 +26,12 @@ const char *kPtx = R"(
     @%p2 bra SKIP;
     mov.u64 %rd1, icnt_warp;
     mov.u64 %rd2, 1;
-    atom.global.add.u64 %rd3, [%rd1], %rd2;
+    red.global.add.u64 [%rd1], %rd2;
     setp.eq.u32 %p2, %a3, 0;
     @%p2 bra SKIP;
     mov.u64 %rd1, icnt_thread;
     cvt.u64.u32 %rd2, %a3;
-    atom.global.add.u64 %rd3, [%rd1], %rd2;
+    red.global.add.u64 [%rd1], %rd2;
 SKIP:
     ret;
 }
@@ -52,11 +52,11 @@ SKIP:
     ld.param.u32 %a7, [ninstrs];
     mov.u64 %rd1, icnt_warp;
     cvt.u64.u32 %rd2, %a7;
-    atom.global.add.u64 %rd3, [%rd1], %rd2;
+    red.global.add.u64 [%rd1], %rd2;
     mul.lo.u32 %a3, %a3, %a7;
     mov.u64 %rd1, icnt_thread;
     cvt.u64.u32 %rd2, %a3;
-    atom.global.add.u64 %rd3, [%rd1], %rd2;
+    red.global.add.u64 [%rd1], %rd2;
 SKIP:
     ret;
 }

@@ -55,10 +55,10 @@ const char *kPtx = R"(
     @%p3 bra SKIP;
     mov.u64 %rd6, mdiv_instrs;
     mov.u64 %rd7, 1;
-    atom.global.add.u64 %rd8, [%rd6], %rd7;
+    red.global.add.u64 [%rd6], %rd7;
     mov.u64 %rd6, mdiv_sectors;
     cvt.u64.u32 %rd7, %a6;
-    atom.global.add.u64 %rd8, [%rd6], %rd7;
+    red.global.add.u64 [%rd6], %rd7;
 SKIP:
     ret;
 }

@@ -32,7 +32,7 @@ const char *kPtx = R"(
     mul.wide.u32 %rd2, %a7, 8;
     add.u64 %rd3, %rd1, %rd2;
     cvt.u64.u32 %rd4, %a3;
-    atom.global.add.u64 %rd5, [%rd3], %rd4;
+    red.global.add.u64 [%rd3], %rd4;
 SKIP:
     ret;
 }

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "driver/callback.hpp"
@@ -307,19 +309,46 @@ class MalformedImageTest : public DriverTest
     void
     expectRejected(const std::function<void(ptx::CompiledModule &)> &corrupt)
     {
+        expectImageRejected([&](ptx::CompiledModule &cm,
+                                std::vector<uint8_t> &image) {
+            corrupt(cm);
+            image = serializeModule(cm);
+        });
+    }
+
+    /** Like expectRejected, with @p corrupt free to edit the serialised
+     *  bytes of the intact image as well. */
+    void
+    expectImageRejected(
+        const std::function<void(ptx::CompiledModule &,
+                                 std::vector<uint8_t> &)> &corrupt)
+    {
         ptx::CompiledModule cm =
             ptx::compile(kGlobalAndCall, device().family());
-        std::vector<uint8_t> intact = serializeModule(cm);
+        std::vector<uint8_t> image = serializeModule(cm);
         CUmodule mod = nullptr;
-        ASSERT_EQ(cuModuleLoadData(&mod, intact.data(), intact.size()),
+        ASSERT_EQ(cuModuleLoadData(&mod, image.data(), image.size()),
                   CUDA_SUCCESS);
 
-        corrupt(cm);
-        std::vector<uint8_t> image = serializeModule(cm);
+        corrupt(cm, image);
         EXPECT_EQ(cuModuleLoadData(&mod, image.data(), image.size()),
                   CUDA_ERROR_INVALID_IMAGE);
 
         expectVecAddRuns();
+    }
+
+    /** The entry kernel of kGlobalAndCall, with one u32 parameter. */
+    static ptx::CompiledFunction &
+    entryWithParam(ptx::CompiledModule &cm)
+    {
+        for (ptx::CompiledFunction &f : cm.functions) {
+            if (f.is_entry) {
+                f.params = {{"p", ptx::ParamKind::U32, 0}};
+                f.param_bytes = 4;
+                return f;
+            }
+        }
+        throw std::runtime_error("kGlobalAndCall has no entry");
     }
 };
 
@@ -347,6 +376,86 @@ TEST_F(MalformedImageTest, RelocationOutsideFunctionCodeRejected)
                 f.relocs[0].instr_index =
                     static_cast<uint32_t>(f.code.size());
     });
+}
+
+TEST_F(MalformedImageTest, ParamPastParamBytesRejected)
+{
+    // Loaded, this image made cuLaunchKernel copy the parameter 16 MiB
+    // past the end of bank 0.
+    expectRejected([](ptx::CompiledModule &cm) {
+        entryWithParam(cm).params[0].bank0_offset = 16u << 20;
+    });
+}
+
+TEST_F(MalformedImageTest, UnknownParamKindRejected)
+{
+    expectRejected([](ptx::CompiledModule &cm) {
+        entryWithParam(cm).params[0].kind = static_cast<ptx::ParamKind>(7);
+    });
+}
+
+TEST_F(MalformedImageTest, ParamBytesPastConstBankRejected)
+{
+    expectRejected([](ptx::CompiledModule &cm) {
+        entryWithParam(cm).param_bytes = ptx::kMaxConstBytes + 4;
+    });
+}
+
+TEST_F(MalformedImageTest, SharedBytesPastCapRejected)
+{
+    expectRejected([](ptx::CompiledModule &cm) {
+        cm.functions.at(0).shared_bytes = 0xFFFFFF00u;
+    });
+}
+
+TEST_F(MalformedImageTest, FrameBytesPastCapRejected)
+{
+    expectRejected([](ptx::CompiledModule &cm) {
+        cm.functions.at(0).frame_bytes = 0x7FFFFFF0u;
+    });
+}
+
+TEST_F(MalformedImageTest, CodeNotWholeInstructionsRejected)
+{
+    expectImageRejected([](ptx::CompiledModule &cm,
+                           std::vector<uint8_t> &image) {
+        // The last function's code is the image's last field: a u32
+        // length, then the bytes.  Drop one byte from both.
+        const size_t code = cm.functions.back().code.size() *
+                            isa::instrBytes(cm.family);
+        ASSERT_GT(code, 0u);
+        const size_t at = image.size() - code - 4;
+        const uint32_t len = static_cast<uint32_t>(code - 1);
+        std::memcpy(image.data() + at, &len, sizeof(len));
+        image.pop_back();
+    });
+}
+
+TEST_F(DriverTest, LaunchSharedMemoryMustFitOneSm)
+{
+    CUmodule mod;
+    ASSERT_EQ(cuModuleLoadData(&mod, kVecAdd, 0), CUDA_SUCCESS);
+    CUfunction fn;
+    ASSERT_EQ(cuModuleGetFunction(&fn, mod, "vecadd"), CUDA_SUCCESS);
+    uint32_t n = 32;
+    CUdeviceptr d = 0;
+    ASSERT_EQ(cuMemAlloc(&d, n * 4), CUDA_SUCCESS);
+    void *params[] = {&d, &d, &d, &n};
+    const size_t smem = device().config().smem_per_sm;
+    // 16 MiB of dynamic shared memory on a 96 KiB SM; then a size that
+    // wraps a 32-bit sum with any static shared bytes.
+    for (unsigned dyn : {16u << 20, 0xFFFFFFFFu,
+                         static_cast<unsigned>(smem) + 1}) {
+        EXPECT_EQ(cuLaunchKernel(fn, 1, 1, 1, n, 1, 1, dyn, nullptr,
+                                 params, nullptr),
+                  CUDA_ERROR_INVALID_VALUE)
+            << dyn;
+    }
+    EXPECT_EQ(cuLaunchKernel(fn, 1, 1, 1, n, 1, 1,
+                             static_cast<unsigned>(smem), nullptr, params,
+                             nullptr),
+              CUDA_SUCCESS);
+    expectVecAddRuns();
 }
 
 TEST_F(DriverTest, LaunchValidation)

@@ -159,7 +159,7 @@ TEST_F(ObsTest, ExactOnlyJsonOmitsVolatileCounters)
 TEST_F(ObsTest, LaunchRecordHistoryIsBoundedWithEvictionCount)
 {
     auto &mr = obs::MetricsRegistry::instance();
-    constexpr size_t kCap = 4096;
+    constexpr size_t kCap = obs::MetricsRegistry::kDefaultLaunchRecordCap;
     for (size_t i = 0; i < kCap + 100; ++i) {
         obs::LaunchRecord rec;
         rec.thread_instrs = i;
