@@ -6,6 +6,9 @@
 # driver/concurrency suites under ThreadSanitizer via the `tsan`
 # preset (the multi-tenant stress and chaos tests, and the grid-order
 # reduction suite `test_reductions`, are only meaningful race-free).
+# The `telemetry` label there also carries the observability-session
+# lifecycle tests (`SessionExitTest.*` in test_telemetry: a launch in
+# flight at exit reaches every artifact; empty values mean unset).
 #
 # The `concurrency` label (`ctest -L concurrency`) selects
 # test_mt_driver and test_reductions.
@@ -88,7 +91,7 @@ if [[ "$run_sanitize" == 1 ]]; then
     cmake --preset tsan
     cmake --build --preset tsan -j "$jobs"
 
-    echo "==> tsan: ctest (driver + concurrency [test_mt_driver, test_reductions] + telemetry + sancheck suites)"
+    echo "==> tsan: ctest (driver + concurrency [test_mt_driver, test_reductions] + telemetry [incl. SessionExitTest lifecycle] + sancheck suites)"
     ctest --preset tsan
 fi
 

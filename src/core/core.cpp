@@ -10,7 +10,6 @@
 #include "isa/abi.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/sanitizer.hpp"
 #include "obs/trace.hpp"
 #include "ptx/compiler.hpp"
 
@@ -39,18 +38,11 @@ NvbitCore::inject(NvbitTool *tool)
     tool_ = tool;
     injected_ = true;
     cudrv::setDriverInterposer(&NvbitCore::interposerThunk, this);
-    // Let the PC-sampling profiler attribute sampled pcs to tool vs
+    // Let PC samples and sanitizer findings attribute pcs to tool vs
     // app code through the same maps fault attribution uses.
-    obs::Profiler::instance().setOriginResolver(
+    obs::setOriginResolver(
         [this](uint64_t pc, const std::vector<uint64_t> &ret_stack,
-               obs::Profiler::OriginInfo &out) {
-            resolvePcOrigin(pc, ret_stack, out.tool, out.app_pc,
-                            &out.func, &out.func_base);
-        });
-    // Sanitizer findings get the same tool-vs-app attribution.
-    obs::Sanitizer::instance().setOriginResolver(
-        [this](uint64_t pc, const std::vector<uint64_t> &ret_stack,
-               obs::Sanitizer::OriginInfo &out) {
+               obs::OriginInfo &out) {
             resolvePcOrigin(pc, ret_stack, out.tool, out.app_pc,
                             &out.func, &out.func_base);
         });
@@ -73,8 +65,7 @@ NvbitCore::uninject()
         mr.add("core.jit_swap_ns", jit_.swap_ns, v);
     }
     cudrv::setDriverInterposer(nullptr, nullptr);
-    obs::Profiler::instance().setOriginResolver(nullptr);
-    obs::Sanitizer::instance().setOriginResolver(nullptr);
+    obs::setOriginResolver(nullptr);
     tool_ = nullptr;
     injected_ = false;
     hal_.reset();

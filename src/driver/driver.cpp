@@ -7,6 +7,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/timer.hpp"
 #include "driver/callback.hpp"
@@ -15,8 +16,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/publisher.hpp"
-#include "obs/sanitizer.hpp"
+#include "obs/session.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "ptx/compiler.hpp"
@@ -67,10 +67,11 @@ struct DriverState {
 DriverState &
 state()
 {
-    // Leaked on purpose (like the obs singletons): a process that exits
-    // without resetDriver() stops the stream service from its static
-    // destructor, and the ops it drains still use these contexts and
-    // GPUs, so the state must outlive every static destructor.
+    // Leaked on purpose (like the obs sinks and the stream service): a
+    // process that exits without resetDriver() stops the stream service
+    // from the observability session's exit handler, and the ops it
+    // drains still use these contexts and GPUs, so the state must
+    // outlive every static destructor.
     static DriverState *s = new DriverState();
     return *s;
 }
@@ -425,15 +426,10 @@ cuInit(unsigned flags)
     DriverState &s = state();
     std::lock_guard<std::mutex> lk(s.mu);
     if (!s.initialized) {
-        unsigned pool = 1;
-        if (const char *env = std::getenv("NVBIT_SIM_GPU_POOL")) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 0);
-            if (end && *end == '\0' && v >= 1 && v <= 16)
-                pool = static_cast<unsigned>(v);
-            else
-                warn("ignoring NVBIT_SIM_GPU_POOL=%s (want 1..16)", env);
-        }
+        unsigned pool = static_cast<unsigned>(
+            parseEnvU64("NVBIT_SIM_GPU_POOL",
+                        std::getenv("NVBIT_SIM_GPU_POOL"), 1, 16)
+                .value_or(1));
         if (driverInterposerActive() && pool > 1) {
             // The NVBit core instruments through device(); tools see a
             // single device, so the pool degrades to one GPU.
@@ -456,19 +452,19 @@ cuInit(unsigned flags)
         // under a GPU slot mutex (inside launches), where taking the
         // driver state mutex would invert the S-before-G lock order.
         obs::Profiler::instance().setNameResolver(resolvePcName);
-        // Live telemetry plane: the publisher's collector samples the
-        // stream service and refreshes the SLO window gauges before
-        // each scrape.  Lock order: publisher mutex, then whatever the
+        // The observability session gets the telemetry collector
+        // (samples the stream service and refreshes the SLO window
+        // gauges before each scrape) and the drain its exit handler
+        // runs first, so ops still in flight at exit reach every
+        // artifact.  Lock order: publisher mutex, then whatever the
         // collector takes (service mutex, SLO mutex), then the
         // registry mutex inside toPrometheus() — never the reverse.
-        obs::SloMonitor::instance().applyThresholdFromEnv();
-        obs::TelemetryPublisher &pub =
-            obs::TelemetryPublisher::instance();
-        pub.setCollector([] {
-            detail::StreamService::instance().sampleTelemetry();
-            obs::SloMonitor::instance().publishGauges(nowNs());
-        });
-        pub.startFromEnv();
+        obs::session::driverUp(
+            [] {
+                detail::StreamService::instance().sampleTelemetry();
+                obs::SloMonitor::instance().publishGauges(nowNs());
+            },
+            [] { detail::StreamService::instance().stop(); });
         obs::StructuredLog::instance().log(
             obs::LogLevel::Info, "driver", "initialised",
             {{"gpus", std::to_string(pool)}});
@@ -501,16 +497,13 @@ setDeviceConfig(const sim::GpuConfig &cfg)
 void
 resetDriver()
 {
-    // Teardown ordering: the telemetry publisher stops *before*
-    // anything it observes is torn down — its collector samples the
-    // stream service and tenant contexts, so a scrape racing the
-    // teardown below would walk freed state.  stop() joins the
-    // publisher thread and clears the collector.  The log ring is
-    // flushed (not disabled: later phases may still log) and the SLO
-    // windows dropped with the tenants they describe.
-    obs::TelemetryPublisher::instance().stop();
-    obs::StructuredLog::instance().flush();
-    obs::SloMonitor::instance().reset();
+    // Teardown ordering: the session stops the telemetry publisher
+    // *before* anything it observes is torn down — its collector
+    // samples the stream service and tenant contexts, so a scrape
+    // racing the teardown below would walk freed state.  The log ring
+    // is flushed (not disabled: later phases may still log) and the
+    // SLO windows dropped with the tenants they describe.
+    obs::session::driverDown();
     // Stop the stream service next: queued ops are cancelled with
     // CUDA_ERROR_DEINITIALIZED, in-flight ones complete (bounded by
     // the device watchdog) and the workers are joined, so nothing
@@ -652,8 +645,8 @@ noteLaunchFault(CUctx_st *ctx, CUfunc_st *fn,
         ctx->exc_info.valid = true;
     }
     // Fault-path flush: leave valid (partial) observability artifacts
-    // on disk even if the process never reaches its atexit handlers
-    // after this error.
+    // on disk even if the process never reaches its exit handler after
+    // this error.
     obs::StructuredLog::instance().log(
         obs::LogLevel::Error, "driver",
         strfmt("kernel '%s' trapped: %s", fname,
@@ -663,11 +656,7 @@ noteLaunchFault(CUctx_st *ctx, CUfunc_st *fn,
          {"pc", std::to_string(e.pc)},
          {"tenant",
           ctx ? std::to_string(ctx->tenant_id) : std::string("-")}});
-    obs::MetricsRegistry::instance().exportToEnvPath();
-    obs::Tracer::instance().flushSnapshot();
-    obs::Profiler::instance().exportToEnvPath();
-    obs::Sanitizer::instance().exportToEnvPath();
-    obs::StructuredLog::instance().flush();
+    obs::session::flush();
     return r;
 }
 

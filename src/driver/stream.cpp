@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/timer.hpp"
 #include "driver/internal.hpp"
@@ -51,8 +52,10 @@ opKindName(StreamOp::Kind k)
 StreamService &
 StreamService::instance()
 {
-    static StreamService svc;
-    return svc;
+    // Leaked, like DriverState: the observability session's exit
+    // handler stops it, so no static destructor has to.
+    static StreamService *svc = new StreamService();
+    return *svc;
 }
 
 bool
@@ -67,16 +70,10 @@ StreamService::start(unsigned num_gpus)
 {
     std::lock_guard<std::mutex> lk(mu_);
     NVBIT_ASSERT(!running_, "stream service already running");
-    queue_cap_ = 64;
-    if (const char *d = std::getenv("NVBIT_SIM_STREAM_QUEUE_DEPTH")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(d, &end, 0);
-        if (end && *end == '\0' && v > 0)
-            queue_cap_ = static_cast<size_t>(v);
-        else
-            warn("ignoring NVBIT_SIM_STREAM_QUEUE_DEPTH=%s (want a "
-                 "positive depth)", d);
-    }
+    queue_cap_ = parseEnvU64("NVBIT_SIM_STREAM_QUEUE_DEPTH",
+                             std::getenv("NVBIT_SIM_STREAM_QUEUE_DEPTH"),
+                             1, SIZE_MAX)
+                     .value_or(64);
     gpus_.assign(num_gpus, GpuQueue{});
     stop_ = false;
     running_ = true;

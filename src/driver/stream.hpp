@@ -171,8 +171,9 @@ namespace detail {
 /**
  * The per-process stream service: owns one worker thread per simulated
  * GPU and all queue/scheduling state.  The driver starts it from
- * cuInit and stops it from resetDriver, or at static destruction when
- * the process exits without one (teardown cancels every queued op and
+ * cuInit and stops it from resetDriver, or — when the process exits
+ * without one — the observability session's exit handler stops it
+ * before any artifact is written (teardown cancels every queued op and
  * waits for in-flight ones — the stream analogue of the event_groups
  * teardown contract).
  */
@@ -326,10 +327,6 @@ class StreamService
 
   private:
     StreamService() = default;
-    /** Static destruction of a process that exits without
-     *  resetDriver(): stop() joins the workers, so no joinable
-     *  std::thread is destroyed (which would std::terminate). */
-    ~StreamService() { stop(); }
 
     struct GpuQueue {
         std::vector<CUctx_st *> ctxs; ///< contexts bound to this GPU

@@ -1,54 +1,12 @@
 #include "obs/log.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/timer.hpp"
+#include "obs/json.hpp"
 
 namespace nvbit::obs {
-
-namespace {
-
-void
-appendJsonString(std::ostringstream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-LogLevel
-parseLevel(const char *s)
-{
-    if (s == nullptr)
-        return LogLevel::Info;
-    if (std::strcmp(s, "debug") == 0)
-        return LogLevel::Debug;
-    if (std::strcmp(s, "warn") == 0)
-        return LogLevel::Warn;
-    if (std::strcmp(s, "error") == 0)
-        return LogLevel::Error;
-    return LogLevel::Info;
-}
-
-} // namespace
 
 std::string_view
 logLevelName(LogLevel lv)
@@ -60,25 +18,6 @@ logLevelName(LogLevel lv)
       case LogLevel::Error: return "error";
     }
     return "info";
-}
-
-StructuredLog &
-StructuredLog::instance()
-{
-    static StructuredLog *log = new StructuredLog();
-    return *log;
-}
-
-StructuredLog::StructuredLog()
-{
-    if (const char *path = std::getenv("NVBIT_SIM_LOG")) {
-        if (path[0] != '\0') {
-            enableToFile(path,
-                         parseLevel(std::getenv("NVBIT_SIM_LOG_LEVEL")));
-            std::atexit(
-                [] { StructuredLog::instance().disableAndFlush(); });
-        }
-    }
 }
 
 void
@@ -128,14 +67,14 @@ StructuredLog::writeLocked() const
         std::ostringstream os;
         os << "{\"ts_us\": " << r.ts_us << ", \"level\": \""
            << logLevelName(r.lv) << "\", \"component\": ";
-        appendJsonString(os, r.component);
+        os << jsonQuote(r.component);
         os << ", \"msg\": ";
-        appendJsonString(os, r.msg);
+        os << jsonQuote(r.msg);
         for (const LogField &fl : r.fields) {
             os << ", ";
-            appendJsonString(os, fl.first);
+            os << jsonQuote(fl.first);
             os << ": ";
-            appendJsonString(os, fl.second);
+            os << jsonQuote(fl.second);
         }
         os << "}\n";
         std::string line = os.str();

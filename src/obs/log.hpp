@@ -11,7 +11,9 @@
  * thousand records on disk.
  *
  * Enable with `NVBIT_SIM_LOG=<path>`; `NVBIT_SIM_LOG_LEVEL` picks the
- * minimum level (`debug`/`info`/`warn`/`error`, default `info`).
+ * minimum level (`debug`/`info`/`warn`/`error`, default `info`).  The
+ * observability session (obs/session.hpp) reads both at start and owns
+ * every flush.
  * When disabled, emission is a single relaxed atomic load — the same
  * passivity contract as the tracer.
  */
@@ -52,7 +54,8 @@ using LogField = std::pair<std::string, std::string>;
 class StructuredLog
 {
   public:
-    /** The process-wide logger; first use reads NVBIT_SIM_LOG[_LEVEL]. */
+    /** The process-wide logger (first use starts the observability
+     *  session, which reads NVBIT_SIM_LOG[_LEVEL]). */
     static StructuredLog &instance();
 
     /** Whether records at @p lv are currently being collected. */
@@ -89,7 +92,8 @@ class StructuredLog
     uint64_t dropped() const;
 
   private:
-    StructuredLog();
+    friend struct SessionSinks;
+    StructuredLog() = default;
 
     struct Record {
         uint64_t ts_us;

@@ -1,39 +1,14 @@
 #include "obs/metrics.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/counters.hpp"
+#include "obs/json.hpp"
 
 namespace nvbit::obs {
 
 namespace {
-
-/** Append a JSON string literal (names are ASCII identifiers, but the
- *  kernel field can in principle carry anything). */
-void
-appendJsonString(std::ostringstream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
 
 /** Emit the non-zero entries of an event set as a JSON object. */
 void
@@ -46,7 +21,7 @@ appendEventsJson(std::ostringstream &os, const EventSet &ev)
             continue;
         os << (first ? "" : ", ");
         first = false;
-        appendJsonString(os, eventName(static_cast<HwEvent>(i)));
+        os << jsonQuote(eventName(static_cast<HwEvent>(i)));
         os << ": " << ev.counts[i];
     }
     os << '}';
@@ -64,25 +39,6 @@ appendMetricValue(std::ostringstream &os, double v)
 }
 
 } // namespace
-
-MetricsRegistry &
-MetricsRegistry::instance()
-{
-    static MetricsRegistry *reg = new MetricsRegistry();
-    return *reg;
-}
-
-MetricsRegistry::MetricsRegistry()
-{
-    // Opt-in process-exit dump: NVBIT_SIM_METRICS=<path>.  The path is
-    // re-read inside exportToEnvPath, so the handler also works if the
-    // variable changes before exit.
-    if (std::getenv("NVBIT_SIM_METRICS") != nullptr) {
-        std::atexit(
-            [] { MetricsRegistry::instance().exportToEnvPath(); });
-    }
-    applyHistoryCapFromEnv();
-}
 
 // --- Mutation batches (Txn) + single-shot mutators ------------------------
 
@@ -351,18 +307,6 @@ MetricsRegistry::launchRecordCap() const
     return launch_record_cap_;
 }
 
-void
-MetricsRegistry::applyHistoryCapFromEnv()
-{
-    const char *env = std::getenv("NVBIT_SIM_METRICS_HISTORY");
-    if (env == nullptr || env[0] == '\0')
-        return;
-    char *end = nullptr;
-    unsigned long long cap = std::strtoull(env, &end, 10);
-    if (end != env && cap > 0)
-        setLaunchRecordCap(static_cast<size_t>(cap));
-}
-
 std::string
 MetricsRegistry::toJson(bool exact_only) const
 {
@@ -375,7 +319,7 @@ MetricsRegistry::toJson(bool exact_only) const
             continue;
         os << (first ? "\n    " : ",\n    ");
         first = false;
-        appendJsonString(os, name);
+        os << jsonQuote(name);
         os << ": " << c.value;
     }
     os << (first ? "},\n" : "\n  },\n");
@@ -386,7 +330,7 @@ MetricsRegistry::toJson(bool exact_only) const
             continue;
         os << (first ? "\n    " : ",\n    ");
         first = false;
-        appendJsonString(os, name);
+        os << jsonQuote(name);
         os << ": {\"bounds\": [";
         for (size_t i = 0; i < h.bounds.size(); ++i)
             os << (i ? ", " : "") << h.bounds[i];
@@ -403,7 +347,7 @@ MetricsRegistry::toJson(bool exact_only) const
         os << (first ? "\n    {" : ",\n    {");
         first = false;
         os << "\"index\": " << r.index << ", \"kernel\": ";
-        appendJsonString(os, r.kernel);
+        os << jsonQuote(r.kernel);
         os << ", \"thread_instrs\": " << r.thread_instrs
            << ", \"warp_instrs\": " << r.warp_instrs
            << ", \"ctas\": " << r.ctas << ", \"cycles\": " << r.cycles
@@ -428,7 +372,7 @@ MetricsRegistry::toJson(bool exact_only) const
             for (const auto &[mname, mval] : evaluateAllMetrics(mi)) {
                 os << (mfirst ? "" : ", ");
                 mfirst = false;
-                appendJsonString(os, mname);
+                os << jsonQuote(mname);
                 os << ": ";
                 appendMetricValue(os, mval);
             }
@@ -436,8 +380,7 @@ MetricsRegistry::toJson(bool exact_only) const
         os << "}, \"cycles_by_reason\": {";
         for (size_t i = 0; i < kNumStallReasons; ++i) {
             os << (i ? ", " : "");
-            appendJsonString(
-                os, stallReasonName(static_cast<StallReason>(i)));
+            os << jsonQuote(stallReasonName(static_cast<StallReason>(i)));
             os << ": " << r.cycles_by_reason[i];
         }
         os << "}, \"sms\": [";
@@ -460,8 +403,7 @@ MetricsRegistry::toJson(bool exact_only) const
             os << ", \"cycles_by_reason\": {";
             for (size_t j = 0; j < kNumStallReasons; ++j) {
                 os << (j ? ", " : "");
-                appendJsonString(
-                    os, stallReasonName(static_cast<StallReason>(j)));
+                os << jsonQuote(stallReasonName(static_cast<StallReason>(j)));
                 os << ": " << s.cycles_by_reason[j];
             }
             os << "}}";
@@ -605,36 +547,19 @@ MetricsRegistry::toPrometheus(uint64_t *epoch_out) const
 }
 
 void
-MetricsRegistry::exportToEnvPath() const
-{
-    const char *path = std::getenv("NVBIT_SIM_METRICS");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    std::string json = toJson();
-    if (std::FILE *f = std::fopen(path, "w")) {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-    }
-}
-
-void
 MetricsRegistry::reset()
 {
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        touchLocked();
-        counters_.clear();
-        histograms_.clear();
-        launches_.clear();
-        launch_record_cap_ = kDefaultLaunchRecordCap;
-        next_index_ = 0;
-        dropped_records_ = 0;
-        // epoch_ deliberately survives reset(): a monotonically
-        // increasing epoch lets watchers distinguish "reset" from
-        // "no change".
-        epochCloseLocked();
-    }
-    applyHistoryCapFromEnv();
+    std::lock_guard<std::mutex> lk(mu_);
+    touchLocked();
+    counters_.clear();
+    histograms_.clear();
+    launches_.clear();
+    launch_record_cap_ = kDefaultLaunchRecordCap;
+    next_index_ = 0;
+    dropped_records_ = 0;
+    // epoch_ deliberately survives reset(): a monotonically increasing
+    // epoch lets watchers distinguish "reset" from "no change".
+    epochCloseLocked();
 }
 
 } // namespace nvbit::obs

@@ -8,8 +8,9 @@
  * memcpy bytes, module loads, faults), and the NVBit core publishes
  * JIT counters (trampolines generated, save/restore sites, code-swap
  * bytes) and tool-callback timings.  Tools and tests read the merged
- * view back as JSON (`toJson`) or dump it at process exit via
- * `NVBIT_SIM_METRICS=<path>`.
+ * view back as JSON (`toJson`); the observability session
+ * (obs/session.hpp) writes it to `NVBIT_SIM_METRICS=<path>` at process
+ * exit and on the driver fault path.
  *
  * Counters carry a `Stability` tag: `Exact` values are bit-identical
  * across the four engine configurations ({serial, parallel} x
@@ -160,7 +161,8 @@ class MetricsRegistry
      */
     static constexpr size_t kDefaultLaunchRecordCap = 256;
 
-    /** The process-wide registry. */
+    /** The process-wide registry (first use starts the observability
+     *  session, obs/session.hpp). */
     static MetricsRegistry &instance();
 
     /**
@@ -256,17 +258,15 @@ class MetricsRegistry
     uint64_t launchCount() const;
 
     /**
-     * Change the retained-history cap (default kDefaultLaunchRecordCap,
-     * overridable via NVBIT_SIM_METRICS_HISTORY).  Shrinking evicts
-     * oldest-first immediately and counts the drops.
+     * Change the retained-history cap (default kDefaultLaunchRecordCap;
+     * the session applies NVBIT_SIM_METRICS_HISTORY at start and at
+     * every cuInit).  Shrinking evicts oldest-first immediately and
+     * counts the drops.
      */
     void setLaunchRecordCap(size_t cap);
 
     /** Current retained-history cap. */
     size_t launchRecordCap() const;
-
-    /** Re-read NVBIT_SIM_METRICS_HISTORY and apply it (> 0 only). */
-    void applyHistoryCapFromEnv();
 
     /**
      * Serialise the registry as a deterministic JSON object
@@ -295,19 +295,13 @@ class MetricsRegistry
      */
     std::string toPrometheus(uint64_t *epoch_out = nullptr) const;
 
-    /**
-     * Write toJson() to $NVBIT_SIM_METRICS if set.  The variable is
-     * re-read at call time, so the fault path can flush even when it
-     * was exported after the registry was first touched.
-     */
-    void exportToEnvPath() const;
-
     /** Drop all counters, histograms and launch records; the history
-     *  cap returns to its default (then env override, if any). */
+     *  cap returns to kDefaultLaunchRecordCap. */
     void reset();
 
   private:
-    MetricsRegistry();
+    friend struct SessionSinks;
+    MetricsRegistry() = default;
 
     struct Counter {
         uint64_t value = 0;

@@ -3,35 +3,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+
+#include "obs/json.hpp"
 
 namespace nvbit::obs {
 
 namespace {
-
-/** Append a JSON-escaped string literal (incl. quotes) to @p out. */
-void
-appendJsonString(std::string &out, std::string_view s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 void
 appendU64(std::string &out, uint64_t v)
@@ -50,23 +27,35 @@ pcLabel(uint64_t pc)
     return buf;
 }
 
+/** The origin-resolver slot (leaked, like the sinks). */
+struct OriginSlot {
+    std::mutex mu; // leaf: held only to copy the resolver in or out
+    OriginResolver resolver;
+};
+
+OriginSlot &
+originSlot()
+{
+    static OriginSlot *slot = new OriginSlot();
+    return *slot;
+}
+
 } // namespace
 
-Profiler::Profiler() = default;
-
-Profiler &
-Profiler::instance()
+void
+setOriginResolver(OriginResolver r)
 {
-    // Leaked on purpose (same pattern as MetricsRegistry): tools may
-    // export from atexit handlers, so the singleton must outlive every
-    // static destructor.
-    static Profiler *p = [] {
-        auto *inst = new Profiler();
-        if (std::getenv("NVBIT_SIM_PROFILE") != nullptr)
-            std::atexit([] { Profiler::instance().exportToEnvPath(); });
-        return inst;
-    }();
-    return *p;
+    OriginSlot &slot = originSlot();
+    std::lock_guard<std::mutex> lock(slot.mu);
+    slot.resolver = std::move(r);
+}
+
+OriginResolver
+originResolver()
+{
+    OriginSlot &slot = originSlot();
+    std::lock_guard<std::mutex> lock(slot.mu);
+    return slot.resolver;
 }
 
 void
@@ -91,14 +80,7 @@ Profiler::setNameResolver(NameResolver r)
 }
 
 void
-Profiler::setOriginResolver(OriginResolver r)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    origin_resolver_ = std::move(r);
-}
-
-void
-Profiler::ingest(const PcSample &s)
+Profiler::ingest(const PcSample &s, const OriginResolver &origin_resolver)
 {
     ++total_;
     reason_totals_[static_cast<size_t>(s.reason)] += 1;
@@ -107,8 +89,8 @@ Profiler::ingest(const PcSample &s)
     bool named = name_resolver_ && name_resolver_(s.pc, info);
     OriginInfo origin;
     origin.app_pc = s.pc;
-    if (origin_resolver_)
-        origin_resolver_(s.pc, s.ret_stack, origin);
+    if (origin_resolver)
+        origin_resolver(s.pc, s.ret_stack, origin);
     // Trampolines are JIT-generated outside any module, so the raw pc
     // does not resolve; attribute the sample to the original
     // application instruction's function instead (CUPTI does the same).
@@ -163,9 +145,10 @@ Profiler::ingest(const PcSample &s)
 void
 Profiler::addLaunchSamples(const std::vector<PcSample> &samples)
 {
+    const OriginResolver origin_resolver = originResolver();
     std::lock_guard<std::mutex> lock(mu_);
     for (const PcSample &s : samples)
-        ingest(s);
+        ingest(s, origin_resolver);
 }
 
 uint64_t
@@ -294,8 +277,7 @@ Profiler::toJson() const
     for (size_t i = 0; i < kNumStallReasons; ++i) {
         if (i)
             out += ", ";
-        appendJsonString(out,
-                         stallReasonName(static_cast<StallReason>(i)));
+        out += jsonQuote(stallReasonName(static_cast<StallReason>(i)));
         out += ": ";
         appendU64(out, reasons[i]);
     }
@@ -307,11 +289,11 @@ Profiler::toJson() const
         out += "    {\"pc\": ";
         appendU64(out, h.pc);
         out += ", \"func\": ";
-        appendJsonString(out, h.func);
+        out += jsonQuote(h.func);
         out += ", \"func_base\": ";
         appendU64(out, h.func_base);
         out += ", \"origin\": ";
-        appendJsonString(out, h.tool_origin ? "tool" : "app");
+        out += jsonQuote(h.tool_origin ? "tool" : "app");
         out += ", \"app_pc\": ";
         appendU64(out, h.app_pc);
         out += ", \"samples\": ";
@@ -320,8 +302,7 @@ Profiler::toJson() const
         for (size_t i = 0; i < kNumStallReasons; ++i) {
             if (i)
                 out += ", ";
-            appendJsonString(
-                out, stallReasonName(static_cast<StallReason>(i)));
+            out += jsonQuote(stallReasonName(static_cast<StallReason>(i)));
             out += ": ";
             appendU64(out, h.by_reason[i]);
         }
@@ -336,7 +317,7 @@ Profiler::toJson() const
             out += first ? "\n" : ",\n";
             first = false;
             out += "    {\"stack\": ";
-            appendJsonString(out, key);
+            out += jsonQuote(key);
             out += ", \"count\": ";
             appendU64(out, count);
             out += '}';
@@ -344,23 +325,6 @@ Profiler::toJson() const
     }
     out += first ? "]\n}\n" : "\n  ]\n}\n";
     return out;
-}
-
-void
-Profiler::exportToEnvPath() const
-{
-    const char *path = std::getenv("NVBIT_SIM_PROFILE");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    std::string json = toJson();
-    FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "nvbit-sim: cannot write profile to %s\n",
-                     path);
-        return;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
 }
 
 void

@@ -19,14 +19,15 @@
  *    to the enclosing device function, searching application modules
  *    and the NVBit tool module;
  *  - the *origin resolver* (installed by the NVBit core while a tool
- *    is injected) reuses the core's fault-attribution maps to classify
- *    a pc as tool- vs app-origin and to map trampoline pcs back to the
- *    original application instruction.
+ *    is injected, and shared with the Sanitizer) reuses the core's
+ *    fault-attribution maps to classify a pc as tool- vs app-origin
+ *    and to map trampoline pcs back to the original application
+ *    instruction.
  *
  * Reports: nvprof-style top-N text (`report`), Brendan-Gregg
  * collapsed-stack flamegraph lines (`collapsedStacks`), and a JSON
- * document (`toJson`, dumped at process exit or on the fault path via
- * `NVBIT_SIM_PROFILE=<path>`).
+ * document (`toJson`, which the observability session writes to
+ * `NVBIT_SIM_PROFILE=<path>` at process exit and on the fault path).
  */
 #ifndef NVBIT_OBS_PROFILE_HPP
 #define NVBIT_OBS_PROFILE_HPP
@@ -112,6 +113,29 @@ struct PcHotspot {
     std::array<uint64_t, kNumStallReasons> by_reason{};
 };
 
+/** Tool-vs-app attribution of one device pc (see OriginResolver). */
+struct OriginInfo {
+    bool tool = false;
+    uint64_t app_pc = 0;
+    /** Fallback name for pcs no module covers (trampolines, builtin
+     *  save/restore routines); "" when unknown. */
+    std::string func;
+    uint64_t func_base = 0;
+};
+
+/** (pc, ret stack) -> tool-vs-app origin + app-level pc. */
+using OriginResolver =
+    std::function<void(uint64_t pc, const std::vector<uint64_t> &ret_stack,
+                       OriginInfo &out)>;
+
+/** Install (NVBit core: inject) or clear (uninject, nullptr) the one
+ *  origin resolver the Profiler and the Sanitizer both read. */
+void setOriginResolver(OriginResolver r);
+
+/** Copy of the installed origin resolver (empty when none), taken
+ *  under the slot's leaf lock so callers run it holding no slot lock. */
+OriginResolver originResolver();
+
 /**
  * Singleton sample aggregator.  Thread-safe; the simulator publishes
  * once per launch (never per-instruction), so a mutex suffices.
@@ -135,24 +159,9 @@ class Profiler
     };
     /** pc -> enclosing function; returns false when unresolved. */
     using NameResolver = std::function<bool(uint64_t pc, PcInfo &out)>;
-    struct OriginInfo {
-        bool tool = false;
-        uint64_t app_pc = 0;
-        /** Fallback name for pcs no module covers (trampolines,
-         *  builtin save/restore routines); "" when unknown. */
-        std::string func;
-        uint64_t func_base = 0;
-    };
-    /** (pc, ret stack) -> tool-vs-app origin + app-level pc. */
-    using OriginResolver =
-        std::function<void(uint64_t pc,
-                           const std::vector<uint64_t> &ret_stack,
-                           OriginInfo &out)>;
 
     /** Install/clear the name resolver (driver: cuInit/resetDriver). */
     void setNameResolver(NameResolver r);
-    /** Install/clear the origin resolver (core: inject/uninject). */
-    void setOriginResolver(OriginResolver r);
 
     // --- Ingestion (simulator, once per launch) ------------------------
     /** Aggregate @p samples; resolution happens here, eagerly, while
@@ -182,11 +191,6 @@ class Profiler
     /** Deterministic JSON document (period, totals, hotspots). */
     std::string toJson() const;
 
-    /** Write toJson() to $NVBIT_SIM_PROFILE if set (re-read at call
-     *  time so the fault path works even when the variable was set
-     *  after the singleton was first touched). */
-    void exportToEnvPath() const;
-
     // --- Test hooks ------------------------------------------------------
     /** Keep raw (unresolved) samples for differential tests. */
     void setRetainRaw(bool v);
@@ -197,12 +201,13 @@ class Profiler
     void reset();
 
   private:
-    Profiler();
+    friend struct SessionSinks;
+    Profiler() = default;
 
     struct FoldedKey; // ordering helper for collapsed stacks
 
     /** Resolve + fold one sample (mu_ held). */
-    void ingest(const PcSample &s);
+    void ingest(const PcSample &s, const OriginResolver &origin_resolver);
 
     mutable std::mutex mu_;
     uint64_t requested_period_ = 0;
@@ -212,7 +217,6 @@ class Profiler
     /** collapsed-stack string -> sample count. */
     std::map<std::string, uint64_t> folded_;
     NameResolver name_resolver_;
-    OriginResolver origin_resolver_;
     bool retain_raw_ = false;
     std::vector<PcSample> raw_;
 };

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <poll.h>
@@ -24,13 +23,6 @@ constexpr const char kUnixPrefix[] = "unix:";
 constexpr int kSocketPollMs = 50;
 
 } // namespace
-
-TelemetryPublisher &
-TelemetryPublisher::instance()
-{
-    static TelemetryPublisher *pub = new TelemetryPublisher();
-    return *pub;
-}
 
 void
 TelemetryPublisher::setCollector(Collector c)
@@ -130,22 +122,6 @@ TelemetryPublisher::start(std::string path, uint64_t period_ms)
             runFile();
     });
     return true;
-}
-
-bool
-TelemetryPublisher::startFromEnv()
-{
-    const char *path = std::getenv("NVBIT_SIM_TELEMETRY");
-    if (path == nullptr || path[0] == '\0')
-        return false;
-    uint64_t period = 100;
-    if (const char *p = std::getenv("NVBIT_SIM_TELEMETRY_PERIOD_MS")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(p, &end, 10);
-        if (end != p && v > 0)
-            period = v;
-    }
-    return start(path, period);
 }
 
 void

@@ -16,13 +16,13 @@
  *    write.
  *
  * Before each snapshot the publisher runs an optional *collector*
- * callback — the driver installs one that samples instantaneous queue
- * depths from the stream service and refreshes the SLO window gauges.
- * Lock order: publisher mutex, then whatever the collector takes
- * (stream-service mutex, SLO mutex), then the registry mutex inside
- * toPrometheus(); the publisher is stopped before the driver tears
- * anything down (see resetDriver), so the collector never races a
- * dying service.
+ * callback — the driver hands the observability session one at cuInit
+ * (obs/session.hpp) that samples instantaneous queue depths from the
+ * stream service and refreshes the SLO window gauges.  Lock order:
+ * publisher mutex, then whatever the collector takes (stream-service
+ * mutex, SLO mutex), then the registry mutex inside toPrometheus();
+ * the session stops the publisher before the driver tears anything
+ * down, so the collector never races a dying service.
  *
  * Passivity: the publisher reads counters, it never writes them, and
  * nothing in the simulated-cycle path knows it exists — telemetry on
@@ -63,10 +63,6 @@ class TelemetryPublisher
      */
     bool start(std::string path, uint64_t period_ms);
 
-    /** start() from NVBIT_SIM_TELEMETRY / NVBIT_SIM_TELEMETRY_PERIOD_MS
-     *  (default period 100 ms); false if the variable is unset. */
-    bool startFromEnv();
-
     /** Stop and join the background thread; file mode writes one final
      *  snapshot so the file equals the end state.  Idempotent. */
     void stop();
@@ -85,6 +81,7 @@ class TelemetryPublisher
     uint64_t scrapeCount() const;
 
   private:
+    friend struct SessionSinks;
     TelemetryPublisher() = default;
 
     void runFile();

@@ -6,34 +6,13 @@
 #include <cstring>
 
 #include "common/logging.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 
 namespace nvbit::obs {
 
 namespace {
-
-void
-appendEscaped(std::string &out, std::string_view s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 void
 appendU64(std::string &out, uint64_t v)
@@ -104,23 +83,6 @@ parseSancheckList(const char *s, bool *ok)
     return mask;
 }
 
-Sanitizer::Sanitizer() = default;
-
-Sanitizer &
-Sanitizer::instance()
-{
-    // Leaked on purpose (same pattern as Profiler/MetricsRegistry):
-    // reports may export from atexit handlers, so the singleton must
-    // outlive every static destructor.
-    static Sanitizer *p = [] {
-        auto *inst = new Sanitizer();
-        if (std::getenv("NVBIT_SIM_SANCHECK_REPORT") != nullptr)
-            std::atexit([] { Sanitizer::instance().exportToEnvPath(); });
-        return inst;
-    }();
-    return *p;
-}
-
 void
 Sanitizer::requestChecks(uint32_t mask)
 {
@@ -135,25 +97,19 @@ Sanitizer::requestedChecks() const
     return requested_;
 }
 
-void
-Sanitizer::setOriginResolver(OriginResolver r)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    origin_resolver_ = std::move(r);
-}
-
 bool
 Sanitizer::record(SanitizerFinding f)
 {
     const bool fatal_env = [] {
         const char *e = std::getenv("NVBIT_SIM_SANCHECK_FATAL");
-        return e != nullptr && std::strcmp(e, "0") != 0;
+        return e != nullptr && e[0] != '\0' && std::strcmp(e, "0") != 0;
     }();
+    const OriginResolver origin_resolver = originResolver();
     std::lock_guard<std::mutex> lock(mu_);
     f.app_pc = f.pc;
-    if (origin_resolver_) {
+    if (origin_resolver) {
         OriginInfo oi;
-        origin_resolver_(f.pc, f.ret_stack, oi);
+        origin_resolver(f.pc, f.ret_stack, oi);
         f.tool_origin = oi.tool;
         f.app_pc = oi.app_pc;
         if (f.func.empty())
@@ -327,7 +283,7 @@ Sanitizer::toJson() const
                    ? "error"
                    : "warning";
         out += "\", \"message\": ";
-        appendEscaped(out, f.message);
+        out += jsonQuote(f.message);
         out += ", \"pc\": ";
         appendHex(out, f.pc);
         out += ", \"app_pc\": ";
@@ -335,7 +291,7 @@ Sanitizer::toJson() const
         out += ", \"tool_origin\": ";
         out += f.tool_origin ? "true" : "false";
         out += ", \"func\": ";
-        appendEscaped(out, f.func);
+        out += jsonQuote(f.func);
         out += ", \"addr\": ";
         appendHex(out, f.addr);
         out += ", \"bytes\": ";
@@ -375,24 +331,6 @@ Sanitizer::toJson() const
     }
     out += first ? "]\n}\n" : "\n  ]\n}\n";
     return out;
-}
-
-void
-Sanitizer::exportToEnvPath() const
-{
-    const char *path = std::getenv("NVBIT_SIM_SANCHECK_REPORT");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    std::string json = toJson();
-    FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr,
-                     "nvbit-sim: cannot write sancheck report to %s\n",
-                     path);
-        return;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
 }
 
 void

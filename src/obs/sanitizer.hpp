@@ -21,11 +21,11 @@
  * The checks themselves live in the interpreter's memory/barrier
  * paths (sim/interpreter.cpp) and in the shadow state beside device
  * memory (mem/shadow_memory.hpp); this singleton is the reporting
- * plane.  It mirrors the Profiler's lifecycle: tools request checks
- * before the device exists, the NVBit core installs the origin
- * resolver while injected so findings attribute tool-vs-app pcs, and
- * reports export at exit / on the fault path via
- * NVBIT_SIM_SANCHECK_REPORT.
+ * plane.  It mirrors the Profiler: tools request checks before the
+ * device exists, findings attribute tool-vs-app pcs through the origin
+ * resolver the NVBit core installs while injected (obs/profile.hpp,
+ * shared with the Profiler), and the observability session writes the
+ * report to NVBIT_SIM_SANCHECK_REPORT at exit and on the fault path.
  *
  * Determinism: findings deduplicate on (check, space, pc, addr,
  * is_write) and keep the canonically smallest execution context per
@@ -40,7 +40,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -163,19 +162,6 @@ class Sanitizer
     void requestChecks(uint32_t mask);
     uint32_t requestedChecks() const;
 
-    // --- Origin resolver (core: inject/uninject) ----------------------
-    struct OriginInfo {
-        bool tool = false;
-        uint64_t app_pc = 0;
-        std::string func;
-        uint64_t func_base = 0;
-    };
-    using OriginResolver =
-        std::function<void(uint64_t pc,
-                           const std::vector<uint64_t> &ret_stack,
-                           OriginInfo &out)>;
-    void setOriginResolver(OriginResolver r);
-
     // --- Ingestion (interpreter / SM layer, on violation only) --------
     /**
      * Record one dynamic violation: resolve pc origin, bump the
@@ -199,18 +185,15 @@ class Sanitizer
     std::string textReport() const;
     /** Deterministic JSON document (schema: docs/observability.md). */
     std::string toJson() const;
-    /** Write toJson() to $NVBIT_SIM_SANCHECK_REPORT if set (re-read at
-     *  call time so the fault path works even when the variable was
-     *  set after the singleton was first touched). */
-    void exportToEnvPath() const;
 
     // --- Test hooks ----------------------------------------------------
-    /** Drop findings, counters and the requested mask; the resolver
-     *  slot is left installed (owned by the core's lifecycle). */
+    /** Drop findings, counters and the requested mask; the origin
+     *  resolver is left installed (owned by the core's lifecycle). */
     void reset();
 
   private:
-    Sanitizer();
+    friend struct SessionSinks;
+    Sanitizer() = default;
 
     struct Key {
         uint8_t check;
@@ -236,7 +219,6 @@ class Sanitizer
     std::array<uint64_t, kNumSanChecks> counts_{};
     std::map<Key, SanitizerFinding> findings_;
     uint64_t dropped_findings_ = 0;
-    OriginResolver origin_resolver_;
 };
 
 } // namespace nvbit::obs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/logging.hpp"
@@ -17,7 +16,7 @@ sloLatencyBounds()
     // 1-2-5 geometric ladder, 1us .. 10s.  Fixed for all tenants and
     // all runs: the layout is part of the metric's identity.  Leaked
     // (like the counter tables): stream workers still record ops while
-    // the stream service drains at static destruction.
+    // the session's exit handler drains the stream service.
     static const std::vector<uint64_t> *bounds = new std::vector<uint64_t>{
         1,      2,      5,      10,      20,      50,      100,
         200,    500,    1000,   2000,    5000,    10000,   20000,
@@ -47,18 +46,6 @@ quantileFromCounts(const std::vector<uint64_t> &counts, uint64_t rank)
 
 } // namespace
 
-SloMonitor &
-SloMonitor::instance()
-{
-    static SloMonitor *mon = new SloMonitor();
-    return *mon;
-}
-
-SloMonitor::SloMonitor()
-{
-    applyThresholdFromEnv();
-}
-
 void
 SloMonitor::configure(const Config &cfg)
 {
@@ -72,17 +59,10 @@ SloMonitor::configure(const Config &cfg)
 }
 
 void
-SloMonitor::applyThresholdFromEnv()
+SloMonitor::setP99Threshold(uint64_t us)
 {
-    const char *env = std::getenv("NVBIT_SIM_SLO_P99_US");
-    if (env == nullptr || env[0] == '\0')
-        return;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env) {
-        std::lock_guard<std::mutex> lk(mu_);
-        cfg_.p99_threshold_us = v;
-    }
+    std::lock_guard<std::mutex> lk(mu_);
+    cfg_.p99_threshold_us = us;
 }
 
 SloMonitor::Bucket &

@@ -19,7 +19,8 @@
  * tests assert only the exact part.
  *
  * Breach detection: when a windowed p99 exceeds the configured
- * threshold (`NVBIT_SIM_SLO_P99_US`, 0 = disabled) the monitor bumps
+ * threshold (`NVBIT_SIM_SLO_P99_US`, applied by the observability
+ * session at start and at every cuInit; 0 = disabled) the monitor bumps
  * `slo.tenant<N>.breaches` and emits a structured-log warning — the
  * burn-rate signal a paging pipeline would consume.
  */
@@ -70,8 +71,8 @@ class SloMonitor
     /** Replace the configuration (drops all windowed state). */
     void configure(const Config &cfg);
 
-    /** Re-read `NVBIT_SIM_SLO_P99_US` and apply it (keeps buckets). */
-    void applyThresholdFromEnv();
+    /** Set the breach threshold (0 disables; keeps buckets). */
+    void setP99Threshold(uint64_t us);
 
     /** Record one completed op for @p tenant at monotonic @p now_ns
      *  with client-observed latency @p latency_us. */
@@ -100,7 +101,8 @@ class SloMonitor
     void reset();
 
   private:
-    SloMonitor();
+    friend struct SessionSinks;
+    SloMonitor() = default;
 
     struct Bucket {
         uint64_t seq = 0; ///< absolute bucket ordinal (now / bucket_ns)

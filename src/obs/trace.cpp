@@ -1,39 +1,12 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/timer.hpp"
+#include "obs/json.hpp"
 
 namespace nvbit::obs {
-
-namespace {
-
-void
-appendJsonString(std::ostringstream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
 
 TraceArg
 argU64(std::string_view key, uint64_t value)
@@ -44,24 +17,7 @@ argU64(std::string_view key, uint64_t value)
 TraceArg
 argStr(std::string_view key, std::string_view value)
 {
-    std::ostringstream os;
-    appendJsonString(os, value);
-    return {std::string(key), os.str()};
-}
-
-Tracer &
-Tracer::instance()
-{
-    static Tracer *tracer = new Tracer();
-    return *tracer;
-}
-
-Tracer::Tracer()
-{
-    if (const char *path = std::getenv("NVBIT_SIM_TRACE")) {
-        enableToFile(path);
-        std::atexit([] { Tracer::instance().disableAndFlush(); });
-    }
+    return {std::string(key), jsonQuote(value)};
 }
 
 void
@@ -94,7 +50,7 @@ Tracer::emitProcessNames()
         Event ev{'M', pid, tid, 0, 0, what, "__metadata", ""};
         std::ostringstream os;
         os << "{\"name\": ";
-        appendJsonString(os, name);
+        os << jsonQuote(name);
         os << "}";
         ev.args_json = os.str();
         events_.push_back(std::move(ev));
@@ -120,7 +76,7 @@ Tracer::nameProcess(int pid, std::string_view name)
     Event ev{'M', pid, 0, 0, 0, "process_name", "__metadata", ""};
     std::ostringstream os;
     os << "{\"name\": ";
-    appendJsonString(os, name);
+    os << jsonQuote(name);
     os << "}";
     ev.args_json = os.str();
     events_.push_back(std::move(ev));
@@ -137,7 +93,7 @@ Tracer::nameThread(int pid, int tid, std::string_view name)
     Event ev{'M', pid, tid, 0, 0, "thread_name", "__metadata", ""};
     std::ostringstream os;
     os << "{\"name\": ";
-    appendJsonString(os, name);
+    os << jsonQuote(name);
     os << "}";
     ev.args_json = os.str();
     events_.push_back(std::move(ev));
@@ -167,7 +123,7 @@ Tracer::complete(int pid, int tid, std::string_view name,
         for (size_t i = 0; i < args.size(); ++i) {
             if (i)
                 os << ", ";
-            appendJsonString(os, args[i].first);
+            os << jsonQuote(args[i].first);
             os << ": " << args[i].second;
         }
         os << "}";
@@ -191,7 +147,7 @@ Tracer::instant(int pid, int tid, std::string_view name,
         for (size_t i = 0; i < args.size(); ++i) {
             if (i)
                 os << ", ";
-            appendJsonString(os, args[i].first);
+            os << jsonQuote(args[i].first);
             os << ": " << args[i].second;
         }
         os << "}";
@@ -215,7 +171,7 @@ Tracer::flowEvent(char ph, int pid, int tid, std::string_view name,
         for (size_t i = 0; i < args.size(); ++i) {
             if (i)
                 os << ", ";
-            appendJsonString(os, args[i].first);
+            os << jsonQuote(args[i].first);
             os << ": " << args[i].second;
         }
         os << "}";
@@ -264,9 +220,9 @@ Tracer::encode(const Event &ev)
             os << ", \"bp\": \"e\"";
     }
     os << ", \"name\": ";
-    appendJsonString(os, ev.name);
+    os << jsonQuote(ev.name);
     os << ", \"cat\": ";
-    appendJsonString(os, ev.cat);
+    os << jsonQuote(ev.cat);
     if (!ev.args_json.empty())
         os << ", \"args\": " << ev.args_json;
     os << "}";

@@ -16,8 +16,9 @@
  * Timestamps are wall-clock microseconds relative to the moment
  * tracing was enabled.
  *
- * Enable with `NVBIT_SIM_TRACE=<path>` (flushed at process exit) or
- * programmatically via `enableToFile` / `disableAndFlush` (tests).
+ * Enable with `NVBIT_SIM_TRACE=<path>` (the observability session,
+ * obs/session.hpp, enables it at start and flushes it at process exit)
+ * or programmatically via `enableToFile` / `disableAndFlush` (tests).
  * When disabled, emission is a single relaxed atomic load.
  */
 #ifndef NVBIT_OBS_TRACE_HPP
@@ -60,7 +61,8 @@ TraceArg argStr(std::string_view key, std::string_view value);
 class Tracer
 {
   public:
-    /** The process-wide tracer; first use reads NVBIT_SIM_TRACE. */
+    /** The process-wide tracer (first use starts the observability
+     *  session, which reads NVBIT_SIM_TRACE). */
     static Tracer &instance();
 
     /** Whether events are currently being collected. */
@@ -136,7 +138,8 @@ class Tracer
     void nameProcess(int pid, std::string_view name);
 
   private:
-    Tracer();
+    friend struct SessionSinks;
+    Tracer() = default;
 
     struct Event {
         char ph;

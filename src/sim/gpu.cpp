@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -35,15 +36,10 @@ applyEnvOverrides(GpuConfig &cfg)
         cfg.use_traces = std::strcmp(t, "0") != 0;
     if (const char *c = std::getenv("NVBIT_SIM_COLD_LAUNCH"))
         cfg.cold_launch = std::strcmp(c, "0") != 0;
-    if (const char *w = std::getenv("NVBIT_SIM_WATCHDOG_CYCLES")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(w, &end, 0);
-        if (end && *end == '\0' && v > 0)
-            cfg.watchdog_cycles = v;
-        else
-            warn("ignoring NVBIT_SIM_WATCHDOG_CYCLES=%s (want a "
-                 "positive cycle count)", w);
-    }
+    if (auto w = parseEnvU64("NVBIT_SIM_WATCHDOG_CYCLES",
+                             std::getenv("NVBIT_SIM_WATCHDOG_CYCLES"), 1,
+                             UINT64_MAX))
+        cfg.watchdog_cycles = *w;
     if (const char *s = std::getenv("NVBIT_SIM_SANCHECK")) {
         bool ok = false;
         uint32_t mask = obs::parseSancheckList(s, &ok);
@@ -54,15 +50,11 @@ applyEnvOverrides(GpuConfig &cfg)
                  "separated list of memcheck,racecheck,synccheck,"
                  "initcheck, or all|off)", s);
     }
-    if (const char *s = std::getenv("NVBIT_SIM_PC_SAMPLING")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 0);
-        if (end && *end == '\0')
-            cfg.pc_sample_period = v; // 0 is a valid explicit "off"
-        else
-            warn("ignoring NVBIT_SIM_PC_SAMPLING=%s (want a cycle "
-                 "period, 0 = off)", s);
-    }
+    // 0 is a valid explicit "off".
+    if (auto p = parseEnvU64("NVBIT_SIM_PC_SAMPLING",
+                             std::getenv("NVBIT_SIM_PC_SAMPLING"), 0,
+                             UINT64_MAX))
+        cfg.pc_sample_period = *p;
 }
 
 } // namespace

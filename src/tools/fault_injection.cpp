@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/logging.hpp"
+#include "obs/json.hpp"
 
 namespace nvbit::tools {
 
@@ -49,27 +50,6 @@ SKIP:
     ret;
 }
 )";
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 const char *
 originName(cudrv::CUexceptionOrigin o)
@@ -181,14 +161,14 @@ CampaignReport::toJson() const
                     "\"bit\": %u, \"injected\": %s, "
                     "\"outcome\": \"%s\", \"status\": %d, "
                     "\"status_str\": \"%s\", \"trap\": \"%s\", "
-                    "\"origin\": \"%s\", \"sass\": \"%s\"}%s\n",
+                    "\"origin\": \"%s\", \"sass\": %s}%s\n",
                     r.target.site_index, r.target.occurrence,
                     r.target.bit, r.injected ? "true" : "false",
                     faultOutcomeName(r.outcome),
                     static_cast<int>(r.status),
                     err ? err : "unknown error code",
                     sim::trapCodeName(r.trap_code), originName(r.origin),
-                    jsonEscape(r.armed_sass).c_str(),
+                    obs::jsonQuote(r.armed_sass).c_str(),
                     k + 1 < injections.size() ? "," : "");
     }
     j += "  ]\n}\n";

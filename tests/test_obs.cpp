@@ -25,17 +25,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "core/nvbit.hpp"
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
 #include "engine_matrix.hpp"
 #include "obs/channel.hpp"
 #include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "sim/gpu.hpp"
 #include "tools/bbv_profiler.hpp"
@@ -175,6 +178,52 @@ TEST_F(ObsTest, LaunchRecordHistoryIsBoundedWithEvictionCount)
     EXPECT_EQ(kept.back().kernel, "tail_kernel");
     EXPECT_NE(mr.toJson().find("\"dropped_launch_records\": 100"),
               std::string::npos);
+}
+
+// One rule for every integer NVBIT_SIM_* value: base 0, the whole
+// string parses, the caller's bounds hold, anything else is ignored
+// with a warning; unset or empty is silently "not given".
+TEST(EnvIntTest, OneRuleForEveryIntegerVariable)
+{
+    auto parse = [](const char *value, uint64_t min, uint64_t max) {
+        ::testing::internal::CaptureStderr();
+        std::optional<uint64_t> v = parseEnvU64("V", value, min, max);
+        std::string err = ::testing::internal::GetCapturedStderr();
+        // A warning exactly when a given value is rejected.
+        const bool given = value != nullptr && value[0] != '\0';
+        EXPECT_EQ(err.find("ignoring V=") != std::string::npos,
+                  given && !v)
+            << "value '" << (value ? value : "(null)") << "': " << err;
+        return v;
+    };
+    EXPECT_EQ(parse(nullptr, 0, 10), std::nullopt);
+    EXPECT_EQ(parse("", 0, 10), std::nullopt);
+    EXPECT_EQ(parse("5", 0, 1000), 5u);
+    EXPECT_EQ(parse("0x100", 0, 1000), 256u);
+    EXPECT_EQ(parse("010", 0, 1000), 8u);
+    EXPECT_EQ(parse("0", 0, 1000), 0u);
+    EXPECT_EQ(parse("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+    for (const char *bad : {"5abc", " 5", "5 ", "+5", "-1", "abc", "0x",
+                            "18446744073709551616"})
+        EXPECT_EQ(parse(bad, 0, UINT64_MAX), std::nullopt) << bad;
+    // Bounds are inclusive.
+    EXPECT_EQ(parse("1", 1, 16), 1u);
+    EXPECT_EQ(parse("16", 1, 16), 16u);
+    EXPECT_EQ(parse("0", 1, 16), std::nullopt);
+    EXPECT_EQ(parse("17", 1, 16), std::nullopt);
+}
+
+// The obs variables follow the same rule as the sim/driver ones.
+TEST_F(ObsTest, HistoryCapFollowsTheIntegerRule)
+{
+    auto &mr = obs::MetricsRegistry::instance();
+    setenv("NVBIT_SIM_METRICS_HISTORY", "0x100", 1);
+    obs::session::applySettings();
+    EXPECT_EQ(mr.launchRecordCap(), 0x100u);
+    setenv("NVBIT_SIM_METRICS_HISTORY", "5abc", 1);
+    obs::session::applySettings();
+    EXPECT_EQ(mr.launchRecordCap(), 0x100u);
+    unsetenv("NVBIT_SIM_METRICS_HISTORY");
 }
 
 // ---------------------------------------------------------------------

@@ -38,6 +38,7 @@
 #include "engine_matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "sim/gpu.hpp"
 #include "tools/bbv_profiler.hpp"
@@ -332,7 +333,7 @@ TEST_F(ProfileTest, HistoryCapEnvEvictsOldestWithExactDropCount)
 {
     auto &mr = obs::MetricsRegistry::instance();
     setenv("NVBIT_SIM_METRICS_HISTORY", "5", 1);
-    mr.applyHistoryCapFromEnv();
+    obs::session::applySettings();
     EXPECT_EQ(mr.launchRecordCap(), 5u);
 
     for (uint64_t i = 0; i < 8; ++i) {

@@ -9,8 +9,9 @@
  *     silent, and the whole campaign report is bit-identical across
  *     all four engine configurations (tests/engine_matrix.hpp).
  *  3. Reporting semantics: allocation provenance, finding dedup, the
- *     JSON export path, and fatal promotion to a SanitizerError
- *     DeviceException under NVBIT_SIM_SANCHECK_FATAL=1.
+ *     JSON export path, fatal promotion to a SanitizerError
+ *     DeviceException under NVBIT_SIM_SANCHECK_FATAL=1, and app-pc
+ *     attribution of findings while a tool is attached.
  *  4. The passivity contract: checks charge no simulated cycles, and
  *     quiet runs create no sancheck.* counters.
  *  5. Environment precedence: NVBIT_SIM_SANCHECK beats the tool-side
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/nvbit.hpp"
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
 #include "engine_matrix.hpp"
@@ -35,6 +37,7 @@
 #include "obs/sanitizer.hpp"
 #include "resident.hpp"
 #include "sim/launch.hpp"
+#include "tools/instr_count.hpp"
 #include "tools/sancheck.hpp"
 #include "workloads/workloads.hpp"
 
@@ -395,6 +398,45 @@ TEST_F(SancheckTest, ReportExportsToEnvPathOnFaultPath)
     EXPECT_NE(json.find("\"total_violations\": 1"), std::string::npos)
         << json;
     std::remove(path.c_str());
+}
+
+// With a tool attached the app's store runs relocated inside a
+// trampoline; the finding still names the app and the store's own pc,
+// through the origin resolver the sanitizer shares with the profiler.
+TEST_F(SancheckTest, ToolAttachedFindingKeepsAppOrigin)
+{
+    sim::GpuConfig cfg;
+    cfg.num_sms = 2;
+    cfg.sancheck_mask = obs::kSancheckMemcheck;
+    setDeviceConfig(cfg);
+    tools::InstrCountTool tool; // one call before every instruction
+    uint64_t store_pc = 0;
+    runApp(tool, [&] {
+        checkCu(cuInit(0), "init");
+        CUcontext ctx = nullptr;
+        checkCu(cuCtxCreate(&ctx, 0, 0), "ctx");
+        CUmodule mod = nullptr;
+        checkCu(cuModuleLoadData(&mod, kStorePtx, 0), "load");
+        CUfunction fn = nullptr;
+        checkCu(cuModuleGetFunction(&fn, mod, "tsanst"), "get");
+        for (const Instr *i : nvbit_get_instrs(ctx, fn))
+            if (std::string(i->getOpcode()).rfind("ST", 0) == 0)
+                store_pc = fn->code_addr + i->getOffset();
+        CUdeviceptr out = 0;
+        checkCu(cuMemAlloc(&out, 256), "alloc");
+        CUdeviceptr bad = out + (1u << 20);
+        void *params[] = {&bad};
+        EXPECT_EQ(cuLaunchKernel(fn, 1, 1, 1, 1, 1, 1, 0, nullptr, params,
+                                 nullptr),
+                  CUDA_SUCCESS);
+    });
+    ASSERT_NE(store_pc, 0u);
+    const auto findings = Sanitizer::instance().findings();
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_FALSE(findings[0].tool_origin);
+    EXPECT_EQ(findings[0].app_pc, store_pc);
+    EXPECT_NE(findings[0].pc, store_pc)
+        << "the store should have run inside its trampoline";
 }
 
 TEST_F(SancheckTest, ViolationsAreNonFatalByDefault)

@@ -34,6 +34,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/publisher.hpp"
+#include "obs/session.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "sim/gpu.hpp"
@@ -612,7 +613,7 @@ TEST_F(TelemetryTest, SloBreachesAreEdgeTriggered)
     ::setenv("NVBIT_SIM_SLO_P99_US", "100", 1);
     obs::SloMonitor &slo = obs::SloMonitor::instance();
     slo.configure({250, 4, 0});
-    slo.applyThresholdFromEnv();
+    obs::session::applySettings();
     const uint64_t bucket_ns = 250ull * 1000000;
 
     slo.recordOp(0, 1000, false, 0);
@@ -911,6 +912,137 @@ TEST_F(TelemetryTest, FaultPathFlushesLog)
     EXPECT_NE(doc.find("\"level\": \"error\""), std::string::npos);
     EXPECT_NE(doc.find("trapped"), std::string::npos);
     EXPECT_NE(doc.find("\"kernel\": \"hang\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Observability session: start and exit order
+// ---------------------------------------------------------------------
+
+/** One thread summing 0..n-1: long enough to still be running on the
+ *  stream worker when the process exits. */
+const char *kSlowSum = R"(
+.visible .entry slowsum(.param .u64 out, .param .u32 n)
+{
+    .reg .u32 %r<4>;
+    .reg .u64 %rd<2>;
+    .reg .pred %p<2>;
+    ld.param.u32 %r1, [n];
+    mov.u32 %r2, 0;
+    mov.u32 %r3, 0;
+LOOP:
+    add.u32 %r3, %r3, %r2;
+    add.u32 %r2, %r2, 1;
+    setp.lt.u32 %p1, %r2, %r1;
+    @%p1 bra LOOP;
+    ld.param.u64 %rd1, [out];
+    st.global.u32 [%rd1], %r3;
+    exit;
+}
+)";
+
+std::string
+sessionPath(const char *suffix)
+{
+    return std::string("test_telemetry_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           suffix;
+}
+
+/** Launch slowsum on an explicit stream and exit while it runs. */
+[[noreturn]] void
+exitDuringSlowLaunch()
+{
+    checkCu(cuInit(0), "init");
+    CUcontext ctx = nullptr;
+    checkCu(cuCtxCreate(&ctx, 0, 0), "ctx");
+    CUfunction fn = loadKernel(kSlowSum, "slowsum");
+    CUstream s = nullptr;
+    checkCu(cuStreamCreate(&s, 0), "stream");
+    CUdeviceptr out = 0;
+    checkCu(cuMemAlloc(&out, 4), "alloc");
+    uint32_t n = 200000;
+    void *params[] = {&out, &n};
+    checkCu(cuLaunchKernel(fn, 1, 1, 1, 1, 1, 1, 0, s, params, nullptr),
+            "launch");
+    // Exit only once the worker holds the GPU for this launch: queued
+    // ops are cancelled at exit, in-flight ones complete.
+    detail::GpuSlot &slot = detail::gpuSlot(0);
+    while (cuStreamQuery(s) == CUDA_ERROR_NOT_READY && slot.mu.try_lock()) {
+        slot.mu.unlock();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::exit(0);
+}
+
+// A launch still running when the program exits without resetDriver()
+// reaches every artifact: the exit handler drains the stream service
+// before the publisher, the tracer and the exports write anything.
+TEST(SessionExitTest, ExitDuringLaunchExportsTheLaunch)
+{
+    // A fresh child process, so its session starts with the variables
+    // below (a forked child would inherit this process's session).
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::string metrics = sessionPath("_metrics.json");
+    const std::string trace = sessionPath("_trace.json");
+    const std::string prom = sessionPath(".prom");
+    for (const std::string &f : {metrics, trace, prom})
+        std::remove(f.c_str());
+    ::setenv("NVBIT_SIM_METRICS", metrics.c_str(), 1);
+    ::setenv("NVBIT_SIM_TRACE", trace.c_str(), 1);
+    ::setenv("NVBIT_SIM_TELEMETRY", prom.c_str(), 1);
+    EXPECT_EXIT(exitDuringSlowLaunch(), ::testing::ExitedWithCode(0), "");
+    for (const char *v :
+         {"NVBIT_SIM_METRICS", "NVBIT_SIM_TRACE", "NVBIT_SIM_TELEMETRY"})
+        ::unsetenv(v);
+
+    const std::string js = readFile(metrics);
+    EXPECT_EQ(jsonCounter(js, "driver.launches"), 1u) << js;
+    EXPECT_EQ(jsonCounter(js, "sim.launches"), 1u) << js;
+    const std::string doc = readFile(trace);
+    auto begins = flowIdsOf(doc, 's', "stream.op");
+    EXPECT_GT(begins.size(), 0u);
+    EXPECT_EQ(begins, flowIdsOf(doc, 'f', "stream.op"));
+    EXPECT_EQ(promValue(readFile(prom), "nvbit_launches_total"), 1u);
+    for (const std::string &f : {metrics, trace, prom})
+        std::remove(f.c_str());
+}
+
+/** Report, through the exit code, every sink the empty values turned
+ *  on; the first instance() call starts the session. */
+[[noreturn]] void
+exitWithSinksTurnedOn()
+{
+    int on = 0;
+    if (obs::Tracer::instance().enabled())
+        on |= 1;
+    if (obs::StructuredLog::instance().enabled(obs::LogLevel::Error))
+        on |= 2;
+    if (obs::MetricsRegistry::instance().launchRecordCap() !=
+        obs::MetricsRegistry::kDefaultLaunchRecordCap)
+        on |= 4;
+    checkCu(cuInit(0), "init");
+    if (obs::TelemetryPublisher::instance().running())
+        on |= 8;
+    std::exit(on);
+}
+
+TEST(SessionExitTest, EmptyValueMeansUnset)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const char *vars[] = {
+        "NVBIT_SIM_METRICS",   "NVBIT_SIM_METRICS_HISTORY",
+        "NVBIT_SIM_TRACE",     "NVBIT_SIM_PROFILE",
+        "NVBIT_SIM_SANCHECK_REPORT", "NVBIT_SIM_LOG",
+        "NVBIT_SIM_LOG_LEVEL", "NVBIT_SIM_TELEMETRY",
+        "NVBIT_SIM_TELEMETRY_PERIOD_MS", "NVBIT_SIM_SLO_P99_US"};
+    for (const char *v : vars)
+        ::setenv(v, "", 1);
+    // Exit code 0: nothing turned on.  Empty stderr: no warning about
+    // a malformed value and no attempt to write an export to "".
+    EXPECT_EXIT(exitWithSinksTurnedOn(), ::testing::ExitedWithCode(0),
+                ::testing::MatchesRegex(""));
+    for (const char *v : vars)
+        ::unsetenv(v);
 }
 
 } // namespace
