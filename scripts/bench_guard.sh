@@ -14,8 +14,8 @@
 # scheduler loop.  Both ratios use serial rows, whose time does not
 # depend on how many host cores are free, and micro_core launches the
 # rows interleaved so host-speed drift cancels.  On a shared 4-core
-# host: 5.4-6.7x / 1.01-1.07x, unpinned and pinned to one core
-# (taskset -c 0).
+# host: trace_speedup 4.7-5.3x unpinned; sampling 1.01-1.07x, unpinned
+# and pinned to one core (taskset -c 0).
 #
 # The multi-tenant driver-service path is gated on a same-run ratio
 # too: BENCH_mt_driver's tenant_scaling, the four-tenant aggregate

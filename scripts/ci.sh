@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: docs hygiene, tier-1 build + full test suite, a fast
 # bench smoke (validating the BENCH_*.json artifact path), the perf
-# guard and the repo benchmark's self-test, then the same test suite
-# under ASan+UBSan via the `sanitize` CMake preset and the
-# driver/concurrency suites under ThreadSanitizer via the `tsan`
+# guard and the repo benchmark's self-test, then the whole test suite
+# under ASan+UBSan via the `sanitize` CMake preset, once with the
+# per-instruction engine and once traced (`NVBIT_SIM_TRACES=1`), and
+# the driver/concurrency suites under ThreadSanitizer via the `tsan`
 # preset (the multi-tenant stress and chaos tests, and the grid-order
 # reduction suite `test_reductions`, are only meaningful race-free).
 # The `telemetry` label there also carries the observability-session
@@ -80,12 +81,6 @@ if [[ "$run_sanitize" == 1 ]]; then
 
     echo "==> sanitize: ctest (traced execution engine)"
     NVBIT_SIM_TRACES=1 ctest --preset sanitize
-
-    echo "==> sanitize: ctest (simpoint checkpoint/restore suite)"
-    ctest --preset sanitize -L simpoint
-
-    echo "==> sanitize: ctest (correctness-observability suite)"
-    ctest --preset sanitize -L sancheck
 
     echo "==> tsan: configure + build"
     cmake --preset tsan

@@ -12,7 +12,7 @@ std::optional<uint64_t>
 parseEnvU64(const char *name, const char *value, uint64_t min,
             uint64_t max)
 {
-    if (value == nullptr || value[0] == '\0')
+    if (envSet(value) == nullptr)
         return std::nullopt;
     // strtoull skips leading blanks and accepts a sign, so demand a
     // leading digit; errno catches values past 2^64 - 1.

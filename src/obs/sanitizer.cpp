@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -101,8 +102,8 @@ bool
 Sanitizer::record(SanitizerFinding f)
 {
     const bool fatal_env = [] {
-        const char *e = std::getenv("NVBIT_SIM_SANCHECK_FATAL");
-        return e != nullptr && e[0] != '\0' && std::strcmp(e, "0") != 0;
+        const char *e = envSet(std::getenv("NVBIT_SIM_SANCHECK_FATAL"));
+        return e != nullptr && std::strcmp(e, "0") != 0;
     }();
     const OriginResolver origin_resolver = originResolver();
     std::lock_guard<std::mutex> lock(mu_);

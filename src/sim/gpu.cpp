@@ -20,11 +20,11 @@ namespace nvbit::sim {
 
 namespace {
 
-/** Apply the NVBIT_SIM_* engine and device overrides when present. */
+/** Apply the NVBIT_SIM_* engine and device overrides that are set. */
 void
 applyEnvOverrides(GpuConfig &cfg)
 {
-    if (const char *e = std::getenv("NVBIT_SIM_EXEC")) {
+    if (const char *e = envSet(std::getenv("NVBIT_SIM_EXEC"))) {
         if (std::strcmp(e, "serial") == 0)
             cfg.exec_mode = ExecMode::Serial;
         else if (std::strcmp(e, "parallel") == 0)
@@ -32,15 +32,15 @@ applyEnvOverrides(GpuConfig &cfg)
         else
             warn("ignoring NVBIT_SIM_EXEC=%s (want serial|parallel)", e);
     }
-    if (const char *t = std::getenv("NVBIT_SIM_TRACES"))
+    if (const char *t = envSet(std::getenv("NVBIT_SIM_TRACES")))
         cfg.use_traces = std::strcmp(t, "0") != 0;
-    if (const char *c = std::getenv("NVBIT_SIM_COLD_LAUNCH"))
+    if (const char *c = envSet(std::getenv("NVBIT_SIM_COLD_LAUNCH")))
         cfg.cold_launch = std::strcmp(c, "0") != 0;
     if (auto w = parseEnvU64("NVBIT_SIM_WATCHDOG_CYCLES",
                              std::getenv("NVBIT_SIM_WATCHDOG_CYCLES"), 1,
                              UINT64_MAX))
         cfg.watchdog_cycles = *w;
-    if (const char *s = std::getenv("NVBIT_SIM_SANCHECK")) {
+    if (const char *s = envSet(std::getenv("NVBIT_SIM_SANCHECK"))) {
         bool ok = false;
         uint32_t mask = obs::parseSancheckList(s, &ok);
         if (ok)
@@ -69,13 +69,13 @@ GpuDevice::GpuDevice(const GpuConfig &cfg)
     // device existed (nvbit_at_init precedes cuInit).  An explicit
     // config period or the env var (including an explicit 0) wins.
     if (cfg_.pc_sample_period == 0 &&
-        std::getenv("NVBIT_SIM_PC_SAMPLING") == nullptr)
+        envSet(std::getenv("NVBIT_SIM_PC_SAMPLING")) == nullptr)
         cfg_.pc_sample_period = obs::Profiler::instance().requestedPeriod();
     // Same request protocol for the sanitizer: a tool may have asked
     // for checks at nvbit_at_init; an explicit config mask or the env
     // var (including an explicit "off") wins.
     if (cfg_.sancheck_mask == 0 &&
-        std::getenv("NVBIT_SIM_SANCHECK") == nullptr)
+        envSet(std::getenv("NVBIT_SIM_SANCHECK")) == nullptr)
         cfg_.sancheck_mask = obs::Sanitizer::instance().requestedChecks();
     if (cfg_.sancheck_mask != 0) {
         shadow_ = std::make_unique<mem::ShadowMemory>(memory_->size());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.hpp"
@@ -41,6 +40,42 @@ sharedBankTransactions(std::vector<uint64_t> &words)
             worst = n;
     }
     return worst;
+}
+
+/**
+ * Run table op @p s over the exec lanes of @p warp: the interpreter's
+ * loop over the per-lane bodies it shares with the trace engine
+ * (NVBIT_LANE_OPS, lane_ops.hpp).  The op is dispatched once per warp
+ * instruction; each op has its own lane loop.
+ */
+void
+runLaneOp(const LaneShape &s, ThreadCtx *warp, uint32_t exec_mask)
+{
+    [[maybe_unused]] const uint8_t aux = s.aux, dp = s.pd;
+    auto src = [](const ThreadCtx &t, const LaneSrc &o) {
+        return o.is_const ? o.value : t.regs[o.reg];
+    };
+    switch (s.op) {
+#define NVBIT_LANE_LOOP(name, body)                                        \
+      case LaneOp::name:                                                   \
+        for (unsigned l = 0; l < kWarpSize; ++l) {                         \
+            if (!((exec_mask >> l) & 1))                                   \
+                continue;                                                  \
+            ThreadCtx &t = warp[l];                                        \
+            [[maybe_unused]] const uint32_t a = src(t, s.a),               \
+                                            b = src(t, s.b),               \
+                                            c = src(t, s.c);               \
+            [[maybe_unused]] uint8_t &p = t.preds;                         \
+            uint32_t d = 0;                                                \
+            body;                                                          \
+            writeReg(t, s.rd, d);                                          \
+        }                                                                  \
+        break;
+        NVBIT_LANE_OPS(NVBIT_LANE_LOOP)
+#undef NVBIT_LANE_LOOP
+      case LaneOp::NumOps:
+        break;
+    }
 }
 
 } // namespace
@@ -439,8 +474,11 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
                      uint64_t pc, uint64_t next_pc)
 {
     (void)active_mask;
+    if (LaneShape s; laneShape(in, s)) {
+        runLaneOp(s, warp, exec_mask);
+        return;
+    }
     const bool imm_alu = (in.mod & isa::kModImmSrc2) != 0;
-    const DType dt = isa::modGetDType(in.mod);
 
     auto forEachExec = [&](auto &&fn) {
         for (unsigned l = 0; l < kWarpSize; ++l)
@@ -515,255 +553,65 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         });
         break;
 
-      case Opcode::MOV:
+      // The table holds every other form of these eight (laneShape).
+      case Opcode::MOV: // Alu1 form: the register source is ra
         forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                // Alu1 form: the register source is ra.
-                writePair(t, in.rd,
-                          imm_alu ? static_cast<uint64_t>(in.imm)
-                                  : readPair(t, in.ra));
-            } else {
-                writeReg(t, in.rd,
-                         imm_alu ? static_cast<uint32_t>(in.imm)
-                                 : readReg(t, in.ra));
-            }
+            writePair(t, in.rd,
+                      imm_alu ? static_cast<uint64_t>(in.imm)
+                              : readPair(t, in.ra));
         });
         break;
-
-      case Opcode::LUI:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, static_cast<uint32_t>(in.imm) << 16);
-        });
-        break;
-
-      case Opcode::SEL:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            bool p = readPred(t, isa::modGetSelPred(in.mod),
-                              isa::modGetSelPredNeg(in.mod));
-            writeReg(t, in.rd, p ? readReg(t, in.ra)
-                                 : readReg(t, in.rb));
-        });
-        break;
-
       case Opcode::SHL:
         forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                writePair(t, in.rd,
-                          readPair(t, in.ra) << (src2(t) & 63));
-            } else {
-                writeReg(t, in.rd, readReg(t, in.ra)
-                                       << (src2(t) & 31));
-            }
+            writePair(t, in.rd, readPair(t, in.ra) << (src2(t) & 63));
         });
         break;
-
       case Opcode::SHR:
         forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                writePair(t, in.rd,
-                          readPair(t, in.ra) >> (src2(t) & 63));
-            } else if (dt == DType::S32) {
-                writeReg(t, in.rd,
-                         static_cast<uint32_t>(
-                             static_cast<int32_t>(readReg(t, in.ra)) >>
-                             (src2(t) & 31)));
-            } else {
-                writeReg(t, in.rd, readReg(t, in.ra) >> (src2(t) & 31));
-            }
+            writePair(t, in.rd, readPair(t, in.ra) >> (src2(t) & 63));
         });
         break;
-
-      case Opcode::AND:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, readReg(t, in.ra) & src2(t));
-        });
-        break;
-      case Opcode::OR:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, readReg(t, in.ra) | src2(t));
-        });
-        break;
-      case Opcode::XOR:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, readReg(t, in.ra) ^ src2(t));
-        });
-        break;
-      case Opcode::NOT:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, ~readReg(t, in.ra));
-        });
-        break;
-
       case Opcode::IADD:
         forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64)
-                writePair(t, in.rd, readPair(t, in.ra) + src2Pair(t));
-            else
-                writeReg(t, in.rd, readReg(t, in.ra) + src2(t));
+            writePair(t, in.rd, readPair(t, in.ra) + src2Pair(t));
         });
         break;
       case Opcode::ISUB:
         forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64)
-                writePair(t, in.rd, readPair(t, in.ra) - src2Pair(t));
-            else
-                writeReg(t, in.rd, readReg(t, in.ra) - src2(t));
+            writePair(t, in.rd, readPair(t, in.ra) - src2Pair(t));
         });
         break;
       case Opcode::IMUL:
         forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                writePair(t, in.rd, readPair(t, in.ra) * src2Pair(t));
-            } else {
-                writeReg(t, in.rd, readReg(t, in.ra) * src2(t));
-            }
+            writePair(t, in.rd, readPair(t, in.ra) * src2Pair(t));
         });
         break;
       case Opcode::IMAD:
         forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                // Wide form: pair = u32 * u32 + pair.
-                uint64_t prod =
-                    static_cast<uint64_t>(readReg(t, in.ra)) *
-                    static_cast<uint64_t>(readReg(t, in.rb));
-                writePair(t, in.rd, prod + readPair(t, in.rc));
-            } else {
-                writeReg(t, in.rd,
-                         readReg(t, in.ra) * readReg(t, in.rb) +
-                             readReg(t, in.rc));
-            }
+            // Wide form: pair = u32 * u32 + pair.
+            uint64_t prod = static_cast<uint64_t>(readReg(t, in.ra)) *
+                            static_cast<uint64_t>(readReg(t, in.rb));
+            writePair(t, in.rd, prod + readPair(t, in.rc));
         });
         break;
-      case Opcode::IMNMX:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            bool want_max = (in.mod & isa::kModMnmxMax) != 0;
-            uint32_t a = readReg(t, in.ra), b = src2(t);
-            uint32_t r;
-            if (dt == DType::S32) {
-                int32_t sa = static_cast<int32_t>(a);
-                int32_t sb = static_cast<int32_t>(b);
-                r = static_cast<uint32_t>(want_max ? std::max(sa, sb)
-                                                   : std::min(sa, sb));
-            } else {
-                r = want_max ? std::max(a, b) : std::min(a, b);
-            }
-            writeReg(t, in.rd, r);
-        });
-        break;
-      case Opcode::POPC:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd,
-                     static_cast<uint32_t>(
-                         std::popcount(readReg(t, in.ra))));
-        });
-        break;
-
-      case Opcode::FADD:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, asBits(asF32(readReg(t, in.ra)) +
-                                      asF32(src2(t))));
-        });
-        break;
-      case Opcode::FMUL:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, asBits(asF32(readReg(t, in.ra)) *
-                                      asF32(src2(t))));
-        });
-        break;
-      case Opcode::FFMA:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd,
-                     asBits(std::fma(asF32(readReg(t, in.ra)),
-                                     asF32(readReg(t, in.rb)),
-                                     asF32(readReg(t, in.rc)))));
-        });
-        break;
-      case Opcode::FMNMX:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            float a = asF32(readReg(t, in.ra));
-            float b = asF32(src2(t));
-            bool want_max = (in.mod & isa::kModMnmxMax) != 0;
-            writeReg(t, in.rd,
-                     asBits(want_max ? std::fmax(a, b)
-                                     : std::fmin(a, b)));
-        });
-        break;
-      case Opcode::MUFU:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd,
-                     asBits(mufuApply(isa::modGetMufu(in.mod),
-                                      asF32(readReg(t, in.ra)))));
-        });
-        break;
-      case Opcode::I2F:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint32_t a = readReg(t, in.ra);
-            float r = (dt == DType::S32)
-                          ? static_cast<float>(static_cast<int32_t>(a))
-                          : static_cast<float>(a);
-            writeReg(t, in.rd, asBits(r));
-        });
-        break;
-      case Opcode::F2I:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            float a = asF32(readReg(t, in.ra));
-            writeReg(t, in.rd,
-                     static_cast<uint32_t>(
-                         f2iClamp(a, dt == DType::S32)));
-        });
-        break;
-
       case Opcode::ISETP: {
+        // U64, or S32 against an immediate wider than 32 bits.
         const bool imm_setp = (in.mod & isa::kModSetpImm) != 0;
-        const DType sdt = isa::modGetSetpDType(in.mod);
+        const bool u64 = isa::modGetSetpDType(in.mod) == DType::U64;
+        const isa::CmpOp cmp = isa::modGetCmp(in.mod);
         forEachExec([&](ThreadCtx &t, unsigned) {
-            bool r;
-            if (sdt == DType::U64) {
-                uint64_t a = readPair(t, in.ra);
-                uint64_t b = imm_setp
-                                 ? static_cast<uint64_t>(in.imm)
-                                 : readPair(t, in.rb);
-                r = cmpApply(isa::modGetCmp(in.mod), a, b);
-            } else if (sdt == DType::S32) {
-                int64_t a = static_cast<int32_t>(readReg(t, in.ra));
-                int64_t b = imm_setp
-                                ? in.imm
-                                : static_cast<int32_t>(
-                                      readReg(t, in.rb));
-                r = cmpApplySigned(isa::modGetCmp(in.mod), a, b);
-            } else {
-                uint64_t a = readReg(t, in.ra);
-                uint64_t b = imm_setp
-                                 ? static_cast<uint32_t>(in.imm)
-                                 : readReg(t, in.rb);
-                r = cmpApply(isa::modGetCmp(in.mod), a, b);
-            }
-            writePred(t, in.rd & 0x7, r);
+            const bool r =
+                u64 ? cmpApply<uint64_t>(
+                          cmp, readPair(t, in.ra),
+                          imm_setp ? static_cast<uint64_t>(in.imm)
+                                   : readPair(t, in.rb))
+                    : cmpApply<int64_t>(
+                          cmp, static_cast<int32_t>(readReg(t, in.ra)),
+                          in.imm);
+            writePredBit(t.preds, in.rd & 0x7, r);
         });
         break;
       }
-      case Opcode::FSETP: {
-        const bool imm_setp = (in.mod & isa::kModSetpImm) != 0;
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            float a = asF32(readReg(t, in.ra));
-            float b = imm_setp
-                          ? static_cast<float>(in.imm)
-                          : asF32(readReg(t, in.rb));
-            writePred(t, in.rd & 0x7,
-                      fcmpApply(isa::modGetCmp(in.mod), a, b));
-        });
-        break;
-      }
-      case Opcode::P2R:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, t.preds);
-        });
-        break;
-      case Opcode::R2P:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            t.preds = static_cast<uint8_t>(readReg(t, in.ra) & 0x7F);
-        });
-        break;
 
       case Opcode::LDG: {
         GlobalAccess ga;
@@ -949,7 +797,7 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         uint8_t psrc = isa::modGetVotePred(in.mod);
         bool pneg = isa::modGetVotePredNeg(in.mod);
         forEachExec([&](ThreadCtx &t, unsigned l) {
-            if (readPred(t, psrc, pneg))
+            if (predBit(t.preds, psrc, pneg))
                 ballot |= 1u << l;
         });
         uint32_t result;

@@ -295,6 +295,33 @@ SmExecutor::addReplayCycles(uint64_t c, uint64_t pc, uint32_t warp,
     }
 }
 
+void
+SmExecutor::watchdogTrap(uint64_t pc) const
+{
+    if (shard_.warp_instrs > cfg_.max_warp_instrs_per_launch)
+        throw DeviceException(TrapCode::WatchdogTimeout,
+                              "launch exceeded the warp-instruction watchdog",
+                              pc);
+    throw DeviceException(
+        TrapCode::WatchdogTimeout,
+        strfmt("launch exceeded the cycle watchdog (%llu cycles)",
+               static_cast<unsigned long long>(cfg_.watchdog_cycles)),
+        pc);
+}
+
+void
+SmExecutor::annotateTrap(DeviceException &e, unsigned w,
+                         const ThreadCtx *warp, uint32_t active_mask,
+                         uint32_t exec_mask)
+{
+    e.warp_id = w;
+    e.active_mask = exec_mask ? exec_mask : active_mask;
+    if (e.active_mask && e.ret_stack.empty()) {
+        const ThreadCtx &t = warp[std::countr_zero(e.active_mask)];
+        e.ret_stack.assign(t.ret_stack, t.ret_stack + t.ret_depth);
+    }
+}
+
 SmExecutor::StepResult
 SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
                      unsigned budget, unsigned &consumed)
@@ -335,14 +362,7 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
     try {
         isa::Instruction scratch;
         const isa::Instruction *in = fetch(minpc, scratch);
-
-        // Evaluate guard predicates.
-        for (unsigned l = 0; l < kWarpSize; ++l) {
-            if ((active_mask >> l) & 1) {
-                if (readPred(warp[l], in->pred, in->pred_neg))
-                    exec_mask |= 1u << l;
-            }
-        }
+        exec_mask = guardMask(warp, active_mask, *in);
 
         const uint64_t next_pc = minpc + ib_;
         // All active threads advance; control flow overrides below.
@@ -351,44 +371,9 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
         // Read-after-write on the previous instruction's destination
         // costs one dependency bubble before this issue slot.
         const uint8_t last_dst = sched.lastDst(w);
-        if (last_dst != isa::kRegZ && in->readsGpr(last_dst))
-            chargeCycles(1, obs::StallReason::ExecDependency, minpc, w);
-
-        ++shard_.warp_instrs;
-        chargeCycles(1, obs::StallReason::None, minpc, w);
-        shard_.thread_instrs += std::popcount(exec_mask);
-        // warp_instrs/thread_instrs survive functional mode (watchdog
-        // and fast-forward work accounting); everything below is pure
-        // observability and is skipped there.
-        if (!functional_) {
-            shard_.warp_instrs_by_op[static_cast<size_t>(in->op)] += 1;
-            shard_.thread_instrs_by_op[static_cast<size_t>(in->op)] +=
-                std::popcount(exec_mask);
-            using obs::HwEvent;
-            obs::EventSet &ev = shard_.events;
-            ev.add(HwEvent::InstExecuted, 1);
-            ev.add(HwEvent::ThreadInstExecuted,
-                   std::popcount(active_mask));
-            ev.add(HwEvent::ThreadInstNotPredicatedOff,
-                   std::popcount(exec_mask));
-            ev.add(HwEvent::EligibleWarpsSum, eligible_warps_);
-        }
-        if (shard_.warp_instrs > cfg_.max_warp_instrs_per_launch) {
-            throw DeviceException(
-                TrapCode::WatchdogTimeout,
-                "launch exceeded the warp-instruction watchdog", minpc);
-        }
-        // Per-SM cycle streams are identical across serial/parallel
-        // and traced/untraced engines, so this fires on the same
-        // instruction in all four configurations.
-        if (cycle_total_ + cta_cycles_ > cfg_.watchdog_cycles) {
-            throw DeviceException(
-                TrapCode::WatchdogTimeout,
-                strfmt("launch exceeded the cycle watchdog (%llu cycles)",
-                       static_cast<unsigned long long>(
-                           cfg_.watchdog_cycles)),
-                minpc);
-        }
+        issueSlot(in->op, minpc, w,
+                  last_dst != isa::kRegZ && in->readsGpr(last_dst),
+                  active_mask, exec_mask);
 
         // Attribution context for MemModel callbacks fired inside
         // execute (divergence / miss logging).
@@ -402,15 +387,7 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
             chargeCycles(1, obs::StallReason::BranchResolve, minpc, w);
         sched.setLastDst(w, in->writesGpr() ? in->rd : isa::kRegZ);
     } catch (DeviceException &e) {
-        // First annotation layer: which warp faulted, which lanes
-        // were on, and the return stack of the lowest faulting lane
-        // (for trampoline/tool-function attribution in the core).
-        e.warp_id = w;
-        e.active_mask = exec_mask ? exec_mask : active_mask;
-        if (e.active_mask && e.ret_stack.empty()) {
-            const ThreadCtx &t = warp[std::countr_zero(e.active_mask)];
-            e.ret_stack.assign(t.ret_stack, t.ret_stack + t.ret_depth);
-        }
+        annotateTrap(e, w, warp, active_mask, exec_mask);
         throw;
     }
     return StepResult::Progress;

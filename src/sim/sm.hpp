@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -385,6 +386,56 @@ class SmExecutor : public MemModel
     /** Emit samples for every period crossing up to the current cycle
      *  (out of line: keeps the disabled hot path small). */
     void sampleTick(obs::StallReason r, uint64_t pc, unsigned w);
+
+    /**
+     * Charge and count one issue slot of @p op at @p pc for warp @p w,
+     * whose @p exec_mask lanes of @p active_mask pass the guard.  In
+     * order: the RAW bubble (@p raw_stall), the issue cycle and the
+     * instruction counts, the per-opcode counts and per-instruction
+     * events (pure observability, skipped in Functional fidelity), then
+     * both watchdogs.  Every engine issues through here, so their
+     * counts agree by construction.
+     */
+    void
+    issueSlot(isa::Opcode op, uint64_t pc, unsigned w, bool raw_stall,
+              uint32_t active_mask, uint32_t exec_mask)
+    {
+        if (raw_stall)
+            chargeCycles(1, obs::StallReason::ExecDependency, pc, w);
+        ++shard_.warp_instrs;
+        chargeCycles(1, obs::StallReason::None, pc, w);
+        const unsigned n_exec = std::popcount(exec_mask);
+        shard_.thread_instrs += n_exec;
+        if (!functional_) {
+            shard_.warp_instrs_by_op[static_cast<size_t>(op)] += 1;
+            shard_.thread_instrs_by_op[static_cast<size_t>(op)] += n_exec;
+            using obs::HwEvent;
+            obs::EventSet &ev = shard_.events;
+            ev.add(HwEvent::InstExecuted, 1);
+            ev.add(HwEvent::ThreadInstExecuted, std::popcount(active_mask));
+            ev.add(HwEvent::ThreadInstNotPredicatedOff, n_exec);
+            ev.add(HwEvent::EligibleWarpsSum, eligible_warps_);
+        }
+        // Per-SM cycle streams are identical in all four engine
+        // configurations, so a watchdog fires on the same instruction
+        // in each.
+        if (shard_.warp_instrs > cfg_.max_warp_instrs_per_launch ||
+            cycle_total_ + cta_cycles_ > cfg_.watchdog_cycles)
+            watchdogTrap(pc);
+    }
+
+    /** Throw the watchdog that issueSlot found exceeded. */
+    [[noreturn]] void watchdogTrap(uint64_t pc) const;
+
+    /**
+     * First annotation layer of a trap raised while warp @p w issued:
+     * the warp, its lanes (@p exec_mask, or @p active_mask when the
+     * guard was not evaluated yet) and the lowest such lane's return
+     * stack, for trampoline/tool-function attribution in the core.
+     */
+    static void annotateTrap(DeviceException &e, unsigned w,
+                             const ThreadCtx *warp, uint32_t active_mask,
+                             uint32_t exec_mask);
 
     /** Update warp @p w's last-observed issuability (eligible-warps
      *  event accounting; see warp_eligible_). */

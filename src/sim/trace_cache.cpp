@@ -163,6 +163,19 @@ TraceCache::probeCount() const
     return probes_.size();
 }
 
+const Trace *
+TraceCache::resident(mem::DevPtr pc) const
+{
+    if ((pc & (ib_ - 1)) != 0 || pc / kPageBytes >= pages_.size())
+        return nullptr;
+    const Page *page = pages_[pc / kPageBytes].load(std::memory_order_acquire);
+    if (!page)
+        return nullptr;
+    const Trace *tr =
+        page->slots[(pc - page->base) / ib_].load(std::memory_order_acquire);
+    return tr == noTrace() ? nullptr : tr;
+}
+
 size_t
 TraceCache::residentTraces() const
 {

@@ -86,6 +86,9 @@ class TraceCache
     uint64_t invalidations() const { return invalidations_.load(); }
     /** Compiled traces currently resident (sentinels excluded). */
     size_t residentTraces() const;
+    /** The resident trace entered at @p pc, or nullptr; never compiles
+     *  (test introspection). */
+    const Trace *resident(mem::DevPtr pc) const;
 
   private:
     /** One page of trace slots, retired wholesale on invalidation. */

@@ -1,12 +1,10 @@
 #include "sim/trace_compiler.hpp"
 
-#include <cstring>
 #include <set>
 #include <unordered_map>
 
 namespace nvbit::sim {
 
-using isa::DType;
 using isa::Instruction;
 using isa::Opcode;
 
@@ -20,260 +18,13 @@ isTerminal(const Instruction &in)
            in.op == Opcode::BAR;
 }
 
-/**
- * Operand descriptor produced by shape analysis: either an
- * architectural register or a build-time constant (immediates and
- * LUI-style materialisations become splatted constant slots, so every
- * strip handler is a pure register-register operation).
- */
-struct SrcDesc {
-    bool used = false;
-    bool is_const = false;
-    uint8_t reg = isa::kRegZ;
-    uint32_t cval = 0;
-};
-
-/** Result of shape analysis for one strip-eligible instruction. */
-struct OpShape {
-    StripHandler h = StripHandler::Mov;
-    uint8_t aux = 0;
-    SrcDesc a, b, c;
-    bool d_is_pred = false;
-    uint8_t d = isa::kRegZ; ///< dst reg, or predicate index
-    bool reads_preds = false;
-    bool writes_preds = false;
-};
-
-SrcDesc
-srcReg(uint8_t r)
-{
-    SrcDesc s;
-    s.used = true;
-    s.reg = r;
-    return s;
-}
-
-SrcDesc
-srcConst(uint32_t v)
-{
-    SrcDesc s;
-    s.used = true;
-    s.is_const = true;
-    s.cval = v;
-    return s;
-}
-
-/** Second ALU source: immediate constant or Rb. */
-SrcDesc
-srcAlu2(const Instruction &in)
-{
-    return (in.mod & isa::kModImmSrc2)
-               ? srcConst(static_cast<uint32_t>(in.imm))
-               : srcReg(in.rb);
-}
-
-uint32_t
-f32Bits(float f)
-{
-    uint32_t b;
-    std::memcpy(&b, &f, sizeof(b));
-    return b;
-}
-
-/**
- * Shape analysis: can @p in run as a strip op, and with which
- * pre-bound handler?  Only always-executing, non-control-flow,
- * 32-bit-operand instructions qualify; everything else falls back to
- * the generic per-instruction entry.
- */
-bool
-stripShape(const Instruction &in, OpShape &s)
-{
-    if (!in.alwaysExecutes())
-        return false;
-    const DType dt = isa::modGetDType(in.mod);
-    s = OpShape{};
-    s.d = in.rd;
-    switch (in.op) {
-      case Opcode::MOV:
-        if (dt == DType::U64)
-            return false;
-        s.h = StripHandler::Mov;
-        // Alu1 form: the register source is ra.
-        s.a = (in.mod & isa::kModImmSrc2)
-                  ? srcConst(static_cast<uint32_t>(in.imm))
-                  : srcReg(in.ra);
-        return true;
-      case Opcode::LUI:
-        s.h = StripHandler::Mov;
-        s.a = srcConst(static_cast<uint32_t>(in.imm) << 16);
-        return true;
-      case Opcode::SEL:
-        s.h = StripHandler::Sel;
-        s.aux = static_cast<uint8_t>(
-            isa::modGetSelPred(in.mod) |
-            (isa::modGetSelPredNeg(in.mod) ? 0x08u : 0u));
-        s.a = srcReg(in.ra);
-        s.b = srcReg(in.rb);
-        s.reads_preds = true;
-        return true;
-      case Opcode::SHL:
-        if (dt == DType::U64)
-            return false;
-        s.h = StripHandler::Shl;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::SHR:
-        if (dt == DType::U64)
-            return false;
-        s.h = dt == DType::S32 ? StripHandler::ShrS : StripHandler::ShrU;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::AND:
-      case Opcode::OR:
-      case Opcode::XOR:
-        s.h = in.op == Opcode::AND  ? StripHandler::And
-              : in.op == Opcode::OR ? StripHandler::Or
-                                    : StripHandler::Xor;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::NOT:
-        s.h = StripHandler::Not;
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::IADD:
-      case Opcode::ISUB:
-      case Opcode::IMUL:
-        if (dt == DType::U64)
-            return false;
-        s.h = in.op == Opcode::IADD   ? StripHandler::IAdd
-              : in.op == Opcode::ISUB ? StripHandler::ISub
-                                      : StripHandler::IMul;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::IMAD:
-        if (dt == DType::U64)
-            return false;
-        s.h = StripHandler::IMad;
-        s.a = srcReg(in.ra);
-        s.b = srcReg(in.rb);
-        s.c = srcReg(in.rc);
-        return true;
-      case Opcode::IMNMX:
-        s.h = dt == DType::S32 ? StripHandler::MnmxS
-                               : StripHandler::MnmxU;
-        s.aux = (in.mod & isa::kModMnmxMax) ? 1 : 0;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::POPC:
-        s.h = StripHandler::Popc;
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::FADD:
-      case Opcode::FMUL:
-        s.h = in.op == Opcode::FADD ? StripHandler::FAdd
-                                    : StripHandler::FMul;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::FFMA:
-        s.h = StripHandler::FFma;
-        s.a = srcReg(in.ra);
-        s.b = srcReg(in.rb);
-        s.c = srcReg(in.rc);
-        return true;
-      case Opcode::FMNMX:
-        s.h = StripHandler::FMnmx;
-        s.aux = (in.mod & isa::kModMnmxMax) ? 1 : 0;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::MUFU:
-        s.h = StripHandler::Mufu;
-        s.aux = static_cast<uint8_t>(isa::modGetMufu(in.mod));
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::I2F:
-        s.h = dt == DType::S32 ? StripHandler::I2FS
-                               : StripHandler::I2FU;
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::F2I:
-        s.h = dt == DType::S32 ? StripHandler::F2IS
-                               : StripHandler::F2IU;
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::ISETP: {
-        const DType sdt = isa::modGetSetpDType(in.mod);
-        if (sdt == DType::U64)
-            return false;
-        if ((in.rd & 0x7) == isa::kPredT)
-            return false; // PT destination: write is discarded
-        s.d_is_pred = true;
-        s.d = in.rd & 0x7;
-        s.aux = static_cast<uint8_t>(isa::modGetCmp(in.mod));
-        s.writes_preds = true;
-        s.a = srcReg(in.ra);
-        if (sdt == DType::S32) {
-            s.h = StripHandler::ISetpS;
-            if (in.mod & isa::kModSetpImm) {
-                // The interpreter compares the full signed imm; a
-                // 32-bit constant slot can only represent it exactly
-                // when it fits.
-                if (in.imm !=
-                    static_cast<int64_t>(static_cast<int32_t>(in.imm)))
-                    return false;
-                s.b = srcConst(static_cast<uint32_t>(in.imm));
-            } else {
-                s.b = srcReg(in.rb);
-            }
-        } else {
-            s.h = StripHandler::ISetpU;
-            s.b = (in.mod & isa::kModSetpImm)
-                      ? srcConst(static_cast<uint32_t>(in.imm))
-                      : srcReg(in.rb);
-        }
-        return true;
-      }
-      case Opcode::FSETP:
-        if ((in.rd & 0x7) == isa::kPredT)
-            return false;
-        s.d_is_pred = true;
-        s.d = in.rd & 0x7;
-        s.aux = static_cast<uint8_t>(isa::modGetCmp(in.mod));
-        s.writes_preds = true;
-        s.h = StripHandler::FSetp;
-        s.a = srcReg(in.ra);
-        s.b = (in.mod & isa::kModSetpImm)
-                  ? srcConst(f32Bits(static_cast<float>(in.imm)))
-                  : srcReg(in.rb);
-        return true;
-      case Opcode::P2R:
-        s.h = StripHandler::P2R;
-        s.reads_preds = true;
-        return true;
-      case Opcode::R2P:
-        s.h = StripHandler::R2P;
-        s.a = srcReg(in.ra);
-        s.writes_preds = true;
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** One decoded superblock instruction before entry formation. */
 struct RawInstr {
     Instruction in;
     uint64_t pc = 0;
     const InlineProbe *probe = nullptr;
     bool shaped = false;
-    OpShape shape;
+    LaneShape shape;
 };
 
 /**
@@ -286,43 +37,40 @@ class SlotAlloc
 {
   public:
     bool
-    wouldFit(const OpShape &s) const
+    wouldFit(const LaneShape &s) const
     {
         unsigned nv = vars_.size(), nc = consts_.size();
-        auto addSrc = [&](const SrcDesc &d) {
-            if (!d.used)
-                return;
-            if (d.is_const) {
-                if (cmap_.find(d.cval) == cmap_.end())
-                    ++nc;
-            } else if (d.reg != isa::kRegZ &&
-                       vmap_.find(d.reg) == vmap_.end()) {
-                ++nv;
+        auto addSrc = [&](const LaneSrc &o) {
+            if (!o.is_const) {
+                if (vmap_.find(o.reg) == vmap_.end())
+                    ++nv;
+            } else if (o.value != 0 &&
+                       cmap_.find(o.value) == cmap_.end()) {
+                ++nc;
             }
         };
         addSrc(s.a);
         addSrc(s.b);
         addSrc(s.c);
-        if (!s.d_is_pred && s.d != isa::kRegZ &&
-            vmap_.find(s.d) == vmap_.end())
+        if (s.rd != isa::kRegZ && vmap_.find(s.rd) == vmap_.end())
             ++nv;
         return StripRun::kFirstVarSlot + nv + nc <=
                TraceCompiler::kMaxSlots;
     }
 
+    /** Constant 0 (RZ, unused sources) reads the zero slot. */
     uint8_t
-    srcSlot(const SrcDesc &d)
+    srcSlot(const LaneSrc &o)
     {
-        if (!d.used)
+        if (!o.is_const)
+            return varSlot(o.reg);
+        if (o.value == 0)
             return StripRun::kZeroSlot;
-        if (d.is_const) {
-            auto [it, fresh] = cmap_.try_emplace(
-                d.cval, static_cast<uint8_t>(0x80u | consts_.size()));
-            if (fresh)
-                consts_.push_back(d.cval);
-            return it->second;
-        }
-        return varSlot(d.reg);
+        auto [it, fresh] = cmap_.try_emplace(
+            o.value, static_cast<uint8_t>(0x80u | consts_.size()));
+        if (fresh)
+            consts_.push_back(o.value);
+        return it->second;
     }
 
     uint8_t
@@ -348,10 +96,6 @@ class SlotAlloc
             fix(op.a);
             fix(op.b);
             fix(op.c);
-            if (op.h != StripHandler::ISetpU &&
-                op.h != StripHandler::ISetpS &&
-                op.h != StripHandler::FSetp)
-                fix(op.d);
         }
         run.gather = vars_;
         run.consts = consts_;
@@ -365,8 +109,6 @@ class SlotAlloc
     uint8_t
     varSlot(uint8_t reg)
     {
-        if (reg == isa::kRegZ)
-            return StripRun::kZeroSlot;
         auto [it, fresh] = vmap_.try_emplace(
             reg,
             static_cast<uint8_t>(StripRun::kFirstVarSlot + vars_.size()));
@@ -438,7 +180,7 @@ TraceCompiler::compile(uint64_t pc, const ProbeLookup &probe_at) const
              r.in.imm >=
                  static_cast<int64_t>(isa::SpecialReg::NumSpecialRegs)))
             break;
-        r.shaped = stripShape(r.in, r.shape);
+        r.shaped = r.in.alwaysExecutes() && laneShape(r.in, r.shape);
         raw.push_back(r);
         if (isTerminal(r.in))
             break;
@@ -488,20 +230,21 @@ TraceCompiler::compile(uint64_t pc, const ProbeLookup &probe_at) const
             while (j < n && raw[j].shaped && !raw[j].probe &&
                    !isTerminal(raw[j].in) &&
                    alloc.wouldFit(raw[j].shape)) {
-                const OpShape &s = raw[j].shape;
+                const LaneShape &s = raw[j].shape;
                 StripOp op;
-                op.h = s.h;
+                op.h = s.op;
                 op.op = raw[j].in.op;
                 op.a = alloc.srcSlot(s.a);
                 op.b = alloc.srcSlot(s.b);
                 op.c = alloc.srcSlot(s.c);
-                op.d = s.d_is_pred ? s.d : alloc.dstSlot(s.d);
+                op.d = alloc.dstSlot(s.rd);
                 op.aux = s.aux;
+                op.pd = s.pd;
                 op.arch_dst =
                     raw[j].in.writesGpr() ? raw[j].in.rd : isa::kRegZ;
                 op.raw_stall = rawStall(raw[j].in);
                 op.pc = raw[j].pc;
-                run.preds = run.preds || s.reads_preds || s.writes_preds;
+                run.preds = run.preds || laneOpUsesPreds(s.op);
                 run.ops.push_back(op);
                 prev_dst = op.arch_dst;
                 ++j;

@@ -18,11 +18,13 @@
  *  - Op: one instruction executed through the regular interpreter,
  *    but with fetch, shape checks and the RAW-stall test resolved at
  *    build time.
- *  - Strip: a run of simple always-executing ALU instructions whose
- *    register operands are gathered into SoA lane strips (contiguous
- *    32-lane arrays, CuLifter-style operand-shape specialisation into
- *    one StripHandler per opcode+shape) and written back once at the
- *    end of the run.
+ *  - Strip: a run of always-executing instructions that the shared
+ *    op table holds (laneShape(), lane_ops.hpp).  Their register
+ *    operands are gathered into SoA lane strips (contiguous 32-lane
+ *    arrays; immediates become constant strips, CuLifter-style operand
+ *    shapes recovered once at build time) and written back once at the
+ *    end of the run.  Each op runs the same NVBIT_LANE_OPS body the
+ *    interpreter runs, so a strip restates no op semantics.
  *  - Probe: an NVBit instrumentation callsite (the patched
  *    jump-to-trampoline) whose tool function matches a declared
  *    inline-probe shape; the ballot/leader/atomic-add semantics are
@@ -47,59 +49,20 @@
 #include "isa/arch.hpp"
 #include "isa/instruction.hpp"
 #include "mem/device_memory.hpp"
+#include "sim/lane_ops.hpp"
 
 namespace nvbit::sim {
 
-/**
- * Pre-bound handler for one strip op: opcode + operand shape resolved
- * at build time (immediates become constant slots, dtype picks the
- * signed/unsigned/float variant), so execution is a direct dispatch.
- */
-enum class StripHandler : uint8_t {
-    Mov,   ///< d = a                      (MOV reg/imm, LUI)
-    IAdd,  ///< d = a + b                  (u32 wraparound)
-    ISub,  ///< d = a - b
-    IMul,  ///< d = low32(a * b)
-    IMad,  ///< d = a * b + c
-    And,   ///< d = a & b
-    Or,    ///< d = a | b
-    Xor,   ///< d = a ^ b
-    Not,   ///< d = ~a
-    Shl,   ///< d = a << (b & 31)
-    ShrU,  ///< d = a >> (b & 31)
-    ShrS,  ///< d = (u32)((s32)a >> (b & 31))
-    MnmxU, ///< d = aux ? max(a,b) : min(a,b), unsigned
-    MnmxS, ///< signed min/max
-    Popc,  ///< d = popcount(a)
-    FAdd,  ///< f32
-    FMul,  ///< f32
-    FFma,  ///< d = fma(a, b, c)
-    FMnmx, ///< aux ? fmax : fmin
-    Mufu,  ///< multi-function unit, sub-op in aux
-    I2FU,  ///< d = (f32)(u32)a
-    I2FS,  ///< d = (f32)(s32)a
-    F2IU,  ///< saturating f32 -> u32
-    F2IS,  ///< saturating f32 -> s32
-    ISetpU,///< P[d] = cmp_aux(a, b) zero-extended
-    ISetpS,///< P[d] = cmp_aux((s32)a, (s32)b) sign-extended
-    FSetp, ///< P[d] = cmp_aux(f32(a), f32(b))
-    Sel,   ///< d = P[aux&7]^neg ? a : b
-    P2R,   ///< d = predicate byte
-    R2P,   ///< predicate byte = a & 0x7F
-    NumHandlers
-};
-
 /** One pre-specialised strip operation over SoA lane strips. */
 struct StripOp {
-    StripHandler h = StripHandler::Mov;
+    LaneOp h = LaneOp::Mov;            ///< the table op (lane_ops.hpp)
     isa::Opcode op = isa::Opcode::NOP; ///< stats attribution
-    uint8_t d = 0;  ///< dst slot (Setp: predicate index 0..6)
+    uint8_t d = 0;  ///< dst slot (the sink when the op writes no GPR)
     uint8_t a = 0;  ///< src slot
     uint8_t b = 0;  ///< src slot
     uint8_t c = 0;  ///< src slot (IMad/FFma)
-    /** Mnmx/FMnmx: want-max flag; Mufu: MufuOp; Setp: CmpOp;
-     *  Sel: pred index | (neg << 3). */
-    uint8_t aux = 0;
+    uint8_t aux = 0;          ///< LaneShape::aux
+    uint8_t pd = isa::kPredT; ///< LaneShape::pd (the SETP ops)
     /** GPR this op architecturally writes (kRegZ when none); the RAW
      *  stall chain and WarpScheduler::lastDst are maintained from it. */
     uint8_t arch_dst = isa::kRegZ;

@@ -5,15 +5,16 @@
  * The replay contract is bit-identity with the per-instruction engine
  * on uninstrumented code: results, LaunchStats, cycles_by_reason, the
  * PC-sample stream and EventSet counters are all identical, because
- * every issue slot performs the same charges, counter increments and
- * watchdog checks in the same order as SmExecutor::stepWarp.  What the
- * trace engine elides is re-derivation work that has no observable
- * effect: per-instruction fetch (the head is fetched for real, the
- * rest tick the decode counters the way a same-page fetch would),
- * guard evaluation for always-executing instructions, per-slot PC
- * advance (deferred — intermediate advances overwrite the same lanes
- * of a converged warp and nothing reads thread PCs mid-trace), and the
- * interpreter's operand-shape dispatch for strip runs.
+ * every issue slot is charged and counted by SmExecutor::issueSlot,
+ * the member stepWarp issues through, and every strip op runs the
+ * interpreter's own per-lane body (lane_ops.hpp).  What the trace
+ * engine elides is re-derivation work that has no observable effect:
+ * per-instruction fetch (the head is fetched for real, the rest tick
+ * the decode counters the way a same-page fetch would), guard
+ * evaluation for always-executing instructions, per-slot PC advance
+ * (deferred — intermediate advances overwrite the same lanes of a
+ * converged warp and nothing reads thread PCs mid-trace), and the
+ * per-instruction operand-shape analysis for strip runs.
  *
  * Inline probes intentionally relax the stats contract: an
  * instrumented callsite costs two issue slots (the patched JMP plus
@@ -29,99 +30,22 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
-#include "common/logging.hpp"
 #include "sim/lane_ops.hpp"
 
 namespace nvbit::sim {
 
 namespace {
 
-inline void
-setPredBit(uint8_t &preds, uint8_t p, bool v)
-{
-    if (v)
-        preds |= static_cast<uint8_t>(1u << p);
-    else
-        preds &= static_cast<uint8_t>(~(1u << p));
-}
-
-/** SEL's source predicate: index in aux[2:0] (7 = PT), neg in aux[3]. */
-inline bool
-selPred(uint8_t preds, uint8_t aux)
-{
-    const uint8_t idx = aux & 0x7u;
-    bool v = idx == isa::kPredT ? true : ((preds >> idx) & 1) != 0;
-    return (aux & 0x08u) ? !v : v;
-}
-
 /**
- * Handler table: one entry per StripHandler, in enum order.  Each body
- * is the per-lane statement; D/A/B/C are the SoA strips of the current
- * op's slots and `preds` the per-lane predicate bytes.
- */
-#define NVBIT_STRIP_OPS(X)                                                 \
-    X(Mov, D[l] = A[l])                                                    \
-    X(IAdd, D[l] = A[l] + B[l])                                            \
-    X(ISub, D[l] = A[l] - B[l])                                            \
-    X(IMul, D[l] = A[l] * B[l])                                            \
-    X(IMad, D[l] = A[l] * B[l] + C[l])                                     \
-    X(And, D[l] = A[l] & B[l])                                             \
-    X(Or, D[l] = A[l] | B[l])                                              \
-    X(Xor, D[l] = A[l] ^ B[l])                                             \
-    X(Not, D[l] = ~A[l])                                                   \
-    X(Shl, D[l] = A[l] << (B[l] & 31))                                     \
-    X(ShrU, D[l] = A[l] >> (B[l] & 31))                                    \
-    X(ShrS, D[l] = static_cast<uint32_t>(static_cast<int32_t>(A[l]) >>     \
-                                         (B[l] & 31)))                     \
-    X(MnmxU, D[l] = o->aux ? std::max(A[l], B[l]) : std::min(A[l], B[l]))  \
-    X(MnmxS,                                                               \
-      D[l] = static_cast<uint32_t>(                                        \
-          o->aux ? std::max(static_cast<int32_t>(A[l]),                    \
-                            static_cast<int32_t>(B[l]))                    \
-                 : std::min(static_cast<int32_t>(A[l]),                    \
-                            static_cast<int32_t>(B[l]))))                  \
-    X(Popc, D[l] = static_cast<uint32_t>(std::popcount(A[l])))             \
-    X(FAdd, D[l] = asBits(asF32(A[l]) + asF32(B[l])))                      \
-    X(FMul, D[l] = asBits(asF32(A[l]) * asF32(B[l])))                      \
-    X(FFma, D[l] = asBits(std::fma(asF32(A[l]), asF32(B[l]),               \
-                                   asF32(C[l]))))                          \
-    X(FMnmx, D[l] = asBits(o->aux ? std::fmax(asF32(A[l]), asF32(B[l]))    \
-                                  : std::fmin(asF32(A[l]), asF32(B[l])))) \
-    X(Mufu, D[l] = asBits(mufuApply(static_cast<isa::MufuOp>(o->aux),      \
-                                    asF32(A[l]))))                         \
-    X(I2FU, D[l] = asBits(static_cast<float>(A[l])))                       \
-    X(I2FS,                                                                \
-      D[l] = asBits(static_cast<float>(static_cast<int32_t>(A[l]))))       \
-    X(F2IU, D[l] = static_cast<uint32_t>(f2iClamp(asF32(A[l]), false)))    \
-    X(F2IS, D[l] = static_cast<uint32_t>(f2iClamp(asF32(A[l]), true)))     \
-    X(ISetpU, setPredBit(preds[l], o->d,                                   \
-                         cmpApply(static_cast<isa::CmpOp>(o->aux), A[l],   \
-                                  B[l])))                                  \
-    X(ISetpS,                                                              \
-      setPredBit(preds[l], o->d,                                           \
-                 cmpApplySigned(static_cast<isa::CmpOp>(o->aux),           \
-                                static_cast<int32_t>(A[l]),                \
-                                static_cast<int32_t>(B[l]))))              \
-    X(FSetp, setPredBit(preds[l], o->d,                                    \
-                        fcmpApply(static_cast<isa::CmpOp>(o->aux),         \
-                                  asF32(A[l]), asF32(B[l]))))              \
-    X(Sel, D[l] = selPred(preds[l], o->aux) ? A[l] : B[l])                 \
-    X(P2R, D[l] = preds[l])                                                \
-    X(R2P, preds[l] = static_cast<uint8_t>(A[l] & 0x7F))
-
-/**
- * Execute [o, end) strip ops over the SoA strips @p S.  All 32 lanes
- * run unconditionally: the trace entry guard makes every non-exited
- * lane active, and exited lanes' registers are dead (never gathered
- * into anything observable again), so computing garbage for them is
- * free and keeps the lane loops branchless.
- *
- * Dispatch is computed-goto threaded code where the compiler supports
- * `&&label` (each handler jumps straight to the next op's handler); a
- * switch loop otherwise.
+ * Execute [o, end) strip ops over the SoA strips @p S: each op runs its
+ * NVBIT_LANE_OPS body (lane_ops.hpp) over all 32 lanes.  All lanes run
+ * unconditionally: the trace entry guard makes every non-exited lane
+ * active, and exited lanes' registers are dead (never gathered into
+ * anything observable again), so computing garbage for them is free and
+ * keeps the lane loops branchless.  Dispatch is computed-goto threaded
+ * code: each op's loop jumps straight to the next op's.
  */
 void
 execStripOps(const StripOp *o, const StripOp *end, uint32_t *S,
@@ -130,59 +54,30 @@ execStripOps(const StripOp *o, const StripOp *end, uint32_t *S,
     if (o == end)
         return;
     constexpr size_t kLanes = kWarpSize;
-    uint32_t *D = S + o->d * kLanes;
-    const uint32_t *A = S + o->a * kLanes;
-    const uint32_t *B = S + o->b * kLanes;
-    const uint32_t *C = S + o->c * kLanes;
-    (void)C;
-
-#if defined(__GNUC__) || defined(__clang__)
 #define NVBIT_H_ADDR(name, body) &&h_##name,
-    static const void *const kDispatch[] = {NVBIT_STRIP_OPS(NVBIT_H_ADDR)};
+    static const void *const kDispatch[] = {NVBIT_LANE_OPS(NVBIT_H_ADDR)};
 #undef NVBIT_H_ADDR
-    static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                      static_cast<size_t>(StripHandler::NumHandlers),
-                  "dispatch table out of sync with StripHandler");
     goto *kDispatch[static_cast<size_t>(o->h)];
 #define NVBIT_H(name, body)                                                \
-    h_##name:                                                              \
-    for (unsigned l = 0; l < kLanes; ++l) {                                \
-        body;                                                              \
+    h_##name : {                                                           \
+        uint32_t *D = S + o->d * kLanes;                                   \
+        const uint32_t *A = S + o->a * kLanes;                             \
+        const uint32_t *B = S + o->b * kLanes;                             \
+        const uint32_t *C = S + o->c * kLanes;                             \
+        [[maybe_unused]] const uint8_t aux = o->aux, dp = o->pd;           \
+        for (unsigned l = 0; l < kLanes; ++l) {                            \
+            [[maybe_unused]] const uint32_t a = A[l], b = B[l], c = C[l];  \
+            [[maybe_unused]] uint32_t &d = D[l];                           \
+            [[maybe_unused]] uint8_t &p = preds[l];                        \
+            body;                                                          \
+        }                                                                  \
     }                                                                      \
     if (++o == end)                                                        \
         return;                                                            \
-    D = S + o->d * kLanes;                                                 \
-    A = S + o->a * kLanes;                                                 \
-    B = S + o->b * kLanes;                                                 \
-    C = S + o->c * kLanes;                                                 \
     goto *kDispatch[static_cast<size_t>(o->h)];
-    NVBIT_STRIP_OPS(NVBIT_H)
+    NVBIT_LANE_OPS(NVBIT_H)
 #undef NVBIT_H
-#else
-    for (;;) {
-        switch (o->h) {
-#define NVBIT_H(name, body)                                                \
-    case StripHandler::name:                                               \
-        for (unsigned l = 0; l < kLanes; ++l) {                            \
-            body;                                                          \
-        }                                                                  \
-        break;
-            NVBIT_STRIP_OPS(NVBIT_H)
-#undef NVBIT_H
-          case StripHandler::NumHandlers:
-            break;
-        }
-        if (++o == end)
-            return;
-        D = S + o->d * kLanes;
-        A = S + o->a * kLanes;
-        B = S + o->b * kLanes;
-        C = S + o->c * kLanes;
-    }
-#endif
 }
-
-#undef NVBIT_STRIP_OPS
 
 } // namespace
 
@@ -205,15 +100,11 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                      const Trace &tr, uint32_t active_mask, unsigned budget)
 {
     ThreadCtx *warp = sched.warp(w);
-    const unsigned n_active =
-        static_cast<unsigned>(std::popcount(active_mask));
     unsigned consumed = 0;
     uint64_t last_pc = tr.entry_pc;
     uint8_t last_dst = sched.lastDst(w);
     bool first_slot = true;
     uint32_t exec_mask = active_mask; // for trap annotation
-    using obs::HwEvent;
-    obs::EventSet &ev = shard_.events;
 
     // The trace's first issue slot tests its RAW stall against the
     // live lastDst; later slots use the compiler's precomputed flags.
@@ -222,50 +113,6 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
             return precomputed;
         first_slot = false;
         return last_dst != isa::kRegZ && tr.first_in.readsGpr(last_dst);
-    };
-
-    // Per-issue-slot bookkeeping, charge-for-charge identical to
-    // stepWarp (same order, same messages, same attribution pcs).
-    auto issueSlot = [&](isa::Opcode op, uint64_t pc, uint32_t exec,
-                         bool raw) {
-        if (raw)
-            chargeCycles(1, obs::StallReason::ExecDependency, pc, w);
-        ++shard_.warp_instrs;
-        chargeCycles(1, obs::StallReason::None, pc, w);
-        shard_.thread_instrs += std::popcount(exec);
-        shard_.warp_instrs_by_op[static_cast<size_t>(op)] += 1;
-        shard_.thread_instrs_by_op[static_cast<size_t>(op)] +=
-            std::popcount(exec);
-        ev.add(HwEvent::InstExecuted, 1);
-        ev.add(HwEvent::ThreadInstExecuted, n_active);
-        ev.add(HwEvent::ThreadInstNotPredicatedOff, std::popcount(exec));
-        ev.add(HwEvent::EligibleWarpsSum, eligible_warps_);
-        if (shard_.warp_instrs > cfg_.max_warp_instrs_per_launch) {
-            throw DeviceException(
-                TrapCode::WatchdogTimeout,
-                "launch exceeded the warp-instruction watchdog", pc);
-        }
-        if (cycle_total_ + cta_cycles_ > cfg_.watchdog_cycles) {
-            throw DeviceException(
-                TrapCode::WatchdogTimeout,
-                strfmt("launch exceeded the cycle watchdog (%llu cycles)",
-                       static_cast<unsigned long long>(
-                           cfg_.watchdog_cycles)),
-                pc);
-        }
-        ++consumed;
-    };
-
-    auto guardMask = [&](const isa::Instruction &in) -> uint32_t {
-        if (in.alwaysExecutes())
-            return active_mask;
-        uint32_t m = 0;
-        for (unsigned l = 0; l < kWarpSize; ++l) {
-            if (((active_mask >> l) & 1) &&
-                readPred(warp[l], in.pred, in.pred_neg))
-                m |= 1u << l;
-        }
-        return m;
     };
 
     // Budget or trace-end exit between straight-line entries: flush
@@ -303,13 +150,15 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                     return exitHere();
                 const bool terminal =
                     e.kind == TraceEntryKind::OpTerminal;
-                const uint32_t exec = guardMask(e.in);
+                const uint32_t exec = guardMask(warp, active_mask, e.in);
                 exec_mask = exec;
                 const uint64_t next_pc = e.pc + ib_;
                 if (terminal)
                     sched.advance(w, active_mask, next_pc);
                 fetchTick();
-                issueSlot(e.in.op, e.pc, exec, takeRaw(e.raw_stall));
+                issueSlot(e.in.op, e.pc, w, takeRaw(e.raw_stall),
+                          active_mask, exec);
+                ++consumed;
                 cur_pc_ = e.pc;
                 cur_warp_ = w;
                 interp.execute(e.in, warp, active_mask, exec, e.pc,
@@ -345,8 +194,9 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                     const StripOp &op = run.ops[i];
                     fetchTick();
                     cur_pc_ = op.pc;
-                    issueSlot(op.op, op.pc, active_mask,
-                              takeRaw(op.raw_stall));
+                    issueSlot(op.op, op.pc, w, takeRaw(op.raw_stall),
+                              active_mask, active_mask);
+                    ++consumed;
                     last_dst = op.arch_dst;
                     last_pc = op.pc;
                 }
@@ -401,23 +251,18 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                 exec_mask = active_mask;
                 cur_pc_ = e.pc;
                 cur_warp_ = w;
-                issueSlot(isa::Opcode::JMP, e.pc, active_mask,
-                          takeRaw(e.raw_stall));
+                issueSlot(isa::Opcode::JMP, e.pc, w, takeRaw(e.raw_stall),
+                          active_mask, active_mask);
+                ++consumed;
                 chargeCycles(1, obs::StallReason::BranchResolve, e.pc,
                              w);
 
                 // 2) Inlined tool body: ballot/popc/atomic-add, the
                 // exact arithmetic of the trampoline's tool function.
-                uint32_t pm = active_mask;
-                if (pr.ballot_guard) {
-                    pm = 0;
-                    for (unsigned l = 0; l < kWarpSize; ++l) {
-                        if (((active_mask >> l) & 1) &&
-                            readPred(warp[l], pr.orig.pred,
-                                     pr.orig.pred_neg))
-                            pm |= 1u << l;
-                    }
-                }
+                const uint32_t pm = pr.ballot_guard
+                                        ? guardMask(warp, active_mask,
+                                                    pr.orig)
+                                        : active_mask;
                 const uint64_t P =
                     static_cast<uint64_t>(std::popcount(pm));
                 // Tool counters are u64 ADD reductions: they commit in
@@ -466,13 +311,15 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                 // the callsite pc (the un-relocated decoded original,
                 // so PC-relative semantics match in-place execution).
                 const isa::Instruction &oin = pr.orig;
-                const uint32_t exec = guardMask(oin);
+                const uint32_t exec = guardMask(warp, active_mask, oin);
                 exec_mask = exec;
                 const uint64_t next_pc = e.pc + ib_;
                 if (terminal)
                     sched.advance(w, active_mask, next_pc);
                 fetchTick();
-                issueSlot(oin.op, e.pc, exec, false); // JMP wrote no GPR
+                // The JMP wrote no GPR: no RAW bubble.
+                issueSlot(oin.op, e.pc, w, false, active_mask, exec);
+                ++consumed;
                 cur_pc_ = e.pc;
                 cur_warp_ = w;
                 interp.execute(oin, warp, active_mask, exec, e.pc,
@@ -494,14 +341,7 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
         // boundary / size cap / untraceable successor).
         return exitHere();
     } catch (DeviceException &e) {
-        // Same first annotation layer as stepWarp: faulting warp,
-        // lanes, and the lowest faulting lane's return stack.
-        e.warp_id = w;
-        e.active_mask = exec_mask ? exec_mask : active_mask;
-        if (e.active_mask && e.ret_stack.empty()) {
-            const ThreadCtx &t = warp[std::countr_zero(e.active_mask)];
-            e.ret_stack.assign(t.ret_stack, t.ret_stack + t.ret_depth);
-        }
+        annotateTrap(e, w, warp, active_mask, exec_mask);
         throw;
     }
 }

@@ -16,6 +16,7 @@
 
 #include "isa/instruction.hpp"
 #include "sim/config.hpp"
+#include "sim/lane_ops.hpp"
 #include "sim/launch.hpp"
 
 namespace nvbit::sim {
@@ -69,22 +70,20 @@ writePair(ThreadCtx &t, uint8_t r, uint64_t v)
         t.regs[r + 1] = static_cast<uint32_t>(v >> 32);
 }
 
-inline bool
-readPred(const ThreadCtx &t, uint8_t p, bool neg)
+/** The lanes of @p active_mask whose guard predicate of @p in passes. */
+inline uint32_t
+guardMask(const ThreadCtx *warp, uint32_t active_mask,
+          const isa::Instruction &in)
 {
-    bool v = (p == isa::kPredT) ? true : ((t.preds >> p) & 1) != 0;
-    return neg ? !v : v;
-}
-
-inline void
-writePred(ThreadCtx &t, uint8_t p, bool v)
-{
-    if (p == isa::kPredT)
-        return;
-    if (v)
-        t.preds |= static_cast<uint8_t>(1u << p);
-    else
-        t.preds &= static_cast<uint8_t>(~(1u << p));
+    if (in.alwaysExecutes())
+        return active_mask;
+    uint32_t m = 0;
+    for (unsigned l = 0; l < kWarpSize; ++l) {
+        if (((active_mask >> l) & 1) &&
+            predBit(warp[l].preds, in.pred, in.pred_neg))
+            m |= 1u << l;
+    }
+    return m;
 }
 
 /**

@@ -8,6 +8,7 @@
 #define NVBIT_TESTS_ENGINE_MATRIX_HPP
 
 #include <cstdlib>
+#include <ostream>
 #include <span>
 
 #include "sim/config.hpp"
@@ -28,6 +29,14 @@ struct EngineConfig {
         cfg.use_traces = traces;
     }
 };
+
+/** gtest prints a parameter into its test's name: print the row's name,
+ *  not the struct's bytes (which hold the address of the name). */
+inline void
+PrintTo(const EngineConfig &e, std::ostream *os)
+{
+    *os << e.name;
+}
 
 /** The untraced rows come first, so kUntracedEngines can slice them. */
 inline constexpr EngineConfig kEngineMatrix[] = {

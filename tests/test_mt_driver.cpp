@@ -733,8 +733,9 @@ launchOnStreamAndExit()
 TEST(MtExitTest, ExitWithoutResetDriverIsClean)
 {
     // The child exits with the launch possibly still queued on a stream
-    // worker: static destruction must stop the stream service instead
-    // of destroying joinable worker threads (std::terminate, exit 134).
+    // worker: the observability session's exit handler drains and
+    // stops the stream service (obs/session.cpp), so no joinable
+    // worker thread is left to std::terminate the process (exit 134).
     resetDriver(); // no service workers in the parent when it forks
     EXPECT_EXIT(launchOnStreamAndExit(), ::testing::ExitedWithCode(0), "");
 }

@@ -5,9 +5,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "isa/abi.hpp"
+#include "obs/profile.hpp"
+#include "obs/sanitizer.hpp"
 #include "sim/gpu.hpp"
 
 namespace nvbit::sim {
@@ -551,6 +557,53 @@ TEST_F(SimTest, MultiCtaGridAndOccupancy)
     EXPECT_GT(gpu_->occupancyWarps(32, 0), 0u);
     EXPECT_LE(gpu_->occupancyWarps(255, 0),
               gpu_->occupancyWarps(16, 0));
+}
+
+// An empty NVBIT_SIM_* value means unset (docs/API.md): a device built
+// under empty values has the config of one built without them, tool
+// requests included.
+TEST(GpuEnvTest, EmptyValuesMeanUnset)
+{
+    const char *const kVars[] = {
+        "NVBIT_SIM_EXEC",        "NVBIT_SIM_TRACES",
+        "NVBIT_SIM_COLD_LAUNCH", "NVBIT_SIM_WATCHDOG_CYCLES",
+        "NVBIT_SIM_PC_SAMPLING", "NVBIT_SIM_SANCHECK",
+    };
+    std::vector<std::pair<const char *, std::string>> saved;
+    for (const char *v : kVars) {
+        if (const char *val = std::getenv(v))
+            saved.emplace_back(v, val);
+    }
+    obs::Profiler::instance().requestPeriod(64);
+    obs::Sanitizer::instance().requestChecks(obs::kSancheckAll);
+    GpuConfig cfg;
+    cfg.mem_bytes = 1 << 20;
+    auto build = [&](bool empty) {
+        for (const char *v : kVars) {
+            if (empty)
+                setenv(v, "", 1);
+            else
+                unsetenv(v);
+        }
+        return GpuDevice(cfg).config();
+    };
+    const GpuConfig unset = build(false);
+    const GpuConfig empty = build(true);
+    for (const char *v : kVars)
+        unsetenv(v);
+    for (const auto &[v, val] : saved)
+        setenv(v, val.c_str(), 1);
+    obs::Profiler::instance().reset();
+    obs::Sanitizer::instance().reset();
+
+    EXPECT_EQ(unset.pc_sample_period, 64u);
+    EXPECT_EQ(unset.sancheck_mask, obs::kSancheckAll);
+    EXPECT_EQ(empty.exec_mode, unset.exec_mode);
+    EXPECT_EQ(empty.use_traces, unset.use_traces);
+    EXPECT_EQ(empty.cold_launch, unset.cold_launch);
+    EXPECT_EQ(empty.watchdog_cycles, unset.watchdog_cycles);
+    EXPECT_EQ(empty.pc_sample_period, unset.pc_sample_period);
+    EXPECT_EQ(empty.sancheck_mask, unset.sancheck_mask);
 }
 
 } // namespace

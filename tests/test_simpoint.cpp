@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -242,6 +243,12 @@ simpointEngineName(const SimpointEngine &p)
     if (p.pc_sample_period != 0)
         name += "_pcsamp";
     return name;
+}
+
+void
+PrintTo(const SimpointEngine &p, std::ostream *os)
+{
+    *os << simpointEngineName(p);
 }
 
 class SimpointCheckpointTest
@@ -507,6 +514,68 @@ TEST(SimpointFidelity, FunctionalMatchesFullArchitecturally)
     EXPECT_GT(full.l1_hits + full.l1_misses, 0u);
     EXPECT_EQ(func.l1_hits + func.l1_misses, 0u);
     EXPECT_EQ(func.global_mem_warp_instrs, 0u);
+}
+
+TEST(SimpointFidelity, FunctionalCountsMatchInEveryEngine)
+{
+    // A Functional launch counts instructions and cycles only, in
+    // every engine: a straight-line run long enough for a trace and a
+    // strip, then a store.
+    auto run = [](const EngineConfig &e) {
+        clearEngineEnv();
+        sim::GpuConfig cfg;
+        cfg.num_sms = 4;
+        cfg.mem_bytes = 8 << 20;
+        e.apply(cfg);
+        auto gpu = std::make_unique<sim::GpuDevice>(cfg);
+        gpu->setFidelity(sim::Fidelity::Functional);
+
+        mem::DevPtr buf = gpu->memory().alloc(64 * 4);
+        std::vector<Instruction> prog;
+        prog.push_back(isa::makeS2R(4, isa::SpecialReg::LANEID));
+        prog.push_back(isa::makeMovReg(5, 4));
+        for (int i = 0; i < 20; ++i)
+            prog.push_back(isa::makeIAddImm(5, 5, i));
+        isa::emitMaterialize32(prog, 6, static_cast<uint32_t>(buf));
+        isa::emitMaterialize32(prog, 7, static_cast<uint32_t>(buf >> 32));
+        prog.push_back(isa::makeMovImm(10, 4));
+        Instruction mad;
+        mad.op = Opcode::IMAD;
+        mad.mod = isa::modSetDType(0, DType::U64);
+        mad.rd = 8;
+        mad.ra = 4;
+        mad.rb = 10;
+        mad.rc = 6;
+        prog.push_back(mad);
+        prog.push_back(isa::makeStore(Opcode::STG, 8, 0, 5));
+        prog.push_back(isa::makeExit());
+        auto bytes = isa::encodeAll(gpu->family(), prog);
+        mem::DevPtr entry = gpu->memory().alloc(bytes.size(), 16);
+        gpu->memory().write(entry, bytes.data(), bytes.size());
+
+        sim::LaunchParams lp;
+        lp.entry_pc = entry;
+        lp.grid[0] = 2;
+        lp.block[0] = 64;
+        sim::LaunchStats st = gpu->launch(lp);
+        return std::make_pair(st, memHash(*gpu));
+    };
+
+    auto [base, base_hash] = run(kEngineMatrix[0]);
+    EXPECT_GT(base.warp_instrs, 0u);
+    EXPECT_TRUE(base.events.empty());
+    EXPECT_EQ(base.warp_instrs_by_op,
+              decltype(base.warp_instrs_by_op){});
+    for (const EngineConfig &e : kEngineMatrix) {
+        SCOPED_TRACE(e.name);
+        auto [st, hash] = run(e);
+        EXPECT_EQ(hash, base_hash);
+        expectInvariantStatsEq(base, st);
+        EXPECT_EQ(base.warp_instrs_by_op, st.warp_instrs_by_op);
+        EXPECT_EQ(base.thread_instrs_by_op, st.thread_instrs_by_op);
+        EXPECT_EQ(base.decode_cache_hits, st.decode_cache_hits);
+        EXPECT_EQ(base.decode_cache_misses, st.decode_cache_misses);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,11 +14,15 @@
  *     warps that diverge at the trace terminal.
  *  4. Probe inlining vs trampoline equivalence through the full NVBit
  *     stack: identical tool counters with traces on and off.
+ *  5. The shared op table: every op gives the same result in a strip
+ *     run and in the interpreter, over an edge-value corpus.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -400,6 +404,337 @@ LOOP:
         EXPECT_GT(tramp.first, 0u);
         EXPECT_EQ(tramp.first, inlined.first) << "thread-level count";
         EXPECT_EQ(tramp.second, inlined.second) << "warp-level count";
+    }
+}
+
+// ---------------------------------------------------------------------
+// 5. The shared op table: strip runs vs the interpreter
+// ---------------------------------------------------------------------
+
+/**
+ * One-warp kernels: each lane loads a (R1), b (R2) and c (R3) from an
+ * edge-value corpus, runs one group of table ops (every op in its
+ * register, immediate, RZ-source and RZ-destination forms, and the
+ * predicate forms of SETP, SEL, P2R and R2P), then stores every result
+ * register and its predicate byte.  Traced, the group is one strip
+ * run; untraced, the interpreter runs it.  Eight launches give every
+ * (a, b) pair of the corpus.
+ */
+class LaneOpTableTest : public TraceTestBase
+{
+  protected:
+    static constexpr uint8_t kA = 1, kB = 2, kC = 3, kFirstRes = 16;
+    static constexpr unsigned kRounds = 8;
+
+    struct Group {
+        const char *name;
+        std::vector<Instruction> ops;
+        uint8_t next = kFirstRes; ///< next free result register
+        uint8_t res() { return next++; }
+    };
+
+    /** The corpus: integer edges, then float edges as their bits. */
+    static std::vector<uint32_t>
+    corpus()
+    {
+        using sim::asBits;
+        const float inf = std::numeric_limits<float>::infinity();
+        return {0, 1, 31, 32, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu,
+                asBits(0.0f), asBits(-0.0f), asBits(-1.5f), asBits(3e9f),
+                asBits(-3e9f),
+                asBits(std::numeric_limits<float>::quiet_NaN()),
+                asBits(inf), asBits(-inf)};
+    }
+
+    /** A 32-bit corpus value as a sign-extended immediate. */
+    static int64_t
+    immOf(uint32_t v)
+    {
+        return static_cast<int32_t>(v);
+    }
+
+    static Instruction
+    op(Opcode o, uint8_t rd, uint8_t ra, uint8_t rb = 0, uint8_t rc = 0,
+       uint8_t mod = 0)
+    {
+        Instruction in;
+        in.op = o;
+        in.rd = rd;
+        in.ra = ra;
+        in.rb = rb;
+        in.rc = rc;
+        in.mod = mod;
+        return in;
+    }
+
+    static Instruction
+    opImm(Opcode o, uint8_t rd, uint8_t ra, int64_t imm, uint8_t mod)
+    {
+        Instruction in = op(o, rd, ra, 0, 0, mod);
+        in.imm = imm;
+        return in;
+    }
+
+    /** Rd = Ra op Rb|imm: register, immediate, RZ-source and
+     *  RZ-destination forms. */
+    static void
+    binary(Group &g, Opcode o, uint32_t imm, uint8_t mod = 0)
+    {
+        g.ops.push_back(op(o, g.res(), kA, kB, 0, mod));
+        g.ops.push_back(
+            opImm(o, g.res(), kA, immOf(imm), mod | isa::kModImmSrc2));
+        g.ops.push_back(op(o, g.res(), isa::kRegZ, kB, 0, mod));
+        g.ops.push_back(op(o, g.res(), kA, isa::kRegZ, 0, mod));
+        g.ops.push_back(op(o, isa::kRegZ, kA, kB, 0, mod));
+    }
+
+    static void
+    unary(Group &g, Opcode o, uint8_t mod = 0)
+    {
+        g.ops.push_back(op(o, g.res(), kA, 0, 0, mod));
+        g.ops.push_back(op(o, g.res(), kB, 0, 0, mod));
+        g.ops.push_back(op(o, g.res(), isa::kRegZ, 0, 0, mod));
+        g.ops.push_back(op(o, isa::kRegZ, kA, 0, 0, mod));
+    }
+
+    static void
+    ternary(Group &g, Opcode o)
+    {
+        g.ops.push_back(op(o, g.res(), kA, kB, kC));
+        g.ops.push_back(op(o, g.res(), isa::kRegZ, kB, kC));
+        g.ops.push_back(op(o, g.res(), kA, isa::kRegZ, kC));
+        g.ops.push_back(op(o, g.res(), kA, kB, isa::kRegZ));
+        g.ops.push_back(op(o, isa::kRegZ, kA, kB, kC));
+    }
+
+    /** Every compare in register, immediate and RZ-source forms into
+     *  P0..P6 (captured by P2R whenever all seven are written), plus
+     *  one PT destination each. */
+    static void
+    setp(Group &g, Opcode o, isa::DType dt, int64_t imm)
+    {
+        uint8_t p = 0;
+        auto push = [&](Instruction in) {
+            g.ops.push_back(in);
+            if (in.rd != isa::kPredT && ++p == isa::kPredT) {
+                g.ops.push_back(isa::makeP2R(g.res()));
+                p = 0;
+            }
+        };
+        for (isa::CmpOp c :
+             {isa::CmpOp::LT, isa::CmpOp::EQ, isa::CmpOp::LE,
+              isa::CmpOp::GT, isa::CmpOp::NE, isa::CmpOp::GE}) {
+            const uint8_t mod =
+                isa::modSetSetpDType(isa::modSetCmp(0, c), dt);
+            push(op(o, p, kA, kB, 0, mod));
+            push(opImm(o, p, kA, imm, mod | isa::kModSetpImm));
+            push(op(o, p, isa::kRegZ, kB, 0, mod));
+            push(op(o, isa::kPredT, kA, kB, 0, mod));
+        }
+        g.ops.push_back(isa::makeP2R(g.res()));
+    }
+
+    static std::vector<Group>
+    groups()
+    {
+        using isa::DType;
+        std::vector<Group> v;
+        auto add = [&](const char *name) -> Group & {
+            v.push_back(Group{name, {}});
+            return v.back();
+        };
+        {
+            Group &g = add("MOV/LUI");
+            g.ops.push_back(op(Opcode::MOV, g.res(), kA));
+            g.ops.push_back(opImm(Opcode::MOV, g.res(), 0,
+                                  immOf(0x80000000u), isa::kModImmSrc2));
+            g.ops.push_back(op(Opcode::MOV, g.res(), isa::kRegZ));
+            g.ops.push_back(op(Opcode::MOV, isa::kRegZ, kA));
+            g.ops.push_back(isa::makeLui(g.res(), 0xBEEF));
+            g.ops.push_back(isa::makeLui(isa::kRegZ, 0x8000));
+        }
+        binary(add("IADD"), Opcode::IADD, 0xFFFFFFFFu);
+        binary(add("ISUB"), Opcode::ISUB, 0x7FFFFFFFu);
+        binary(add("IMUL"), Opcode::IMUL, 0x80000000u);
+        binary(add("AND"), Opcode::AND, 0x80000000u);
+        binary(add("OR"), Opcode::OR, 31);
+        binary(add("XOR"), Opcode::XOR, 0xFFFFFFFFu);
+        binary(add("SHL"), Opcode::SHL, 31);
+        {
+            Group &g = add("SHR");
+            binary(g, Opcode::SHR, 32, isa::modSetDType(0, DType::U32));
+            binary(g, Opcode::SHR, 31, isa::modSetDType(0, DType::S32));
+        }
+        {
+            Group &g = add("IMNMX");
+            for (DType dt : {DType::U32, DType::S32})
+                for (uint8_t max : {uint8_t{0}, isa::kModMnmxMax})
+                    binary(g, Opcode::IMNMX, 0xFFFFFFFFu,
+                           isa::modSetDType(max, dt));
+        }
+        binary(add("FADD"), Opcode::FADD, sim::asBits(-1.5f));
+        binary(add("FMUL"), Opcode::FMUL,
+               sim::asBits(std::numeric_limits<float>::infinity()));
+        {
+            Group &g = add("FMNMX");
+            for (uint8_t max : {uint8_t{0}, isa::kModMnmxMax})
+                binary(g, Opcode::FMNMX,
+                       sim::asBits(std::numeric_limits<float>::quiet_NaN()),
+                       max);
+        }
+        ternary(add("IMAD"), Opcode::IMAD);
+        ternary(add("FFMA"), Opcode::FFMA);
+        unary(add("NOT"), Opcode::NOT);
+        unary(add("POPC"), Opcode::POPC);
+        {
+            Group &g = add("MUFU");
+            for (isa::MufuOp f :
+                 {isa::MufuOp::RCP, isa::MufuOp::SQRT, isa::MufuOp::RSQ,
+                  isa::MufuOp::EX2, isa::MufuOp::LG2, isa::MufuOp::SIN,
+                  isa::MufuOp::COS})
+                unary(g, Opcode::MUFU, isa::modSetMufu(0, f));
+        }
+        {
+            Group &g = add("I2F/F2I");
+            for (DType dt : {DType::U32, DType::S32}) {
+                unary(g, Opcode::I2F, isa::modSetDType(0, dt));
+                unary(g, Opcode::F2I, isa::modSetDType(0, dt));
+            }
+        }
+        {
+            Group &g = add("ISETP");
+            setp(g, Opcode::ISETP, DType::U32, immOf(0x80000000u));
+            setp(g, Opcode::ISETP, DType::S32, -1);
+        }
+        setp(add("FSETP"), Opcode::FSETP, DType::U32, 3000000000ll);
+        {
+            Group &g = add("SEL");
+            g.ops.push_back(isa::makeR2P(kA));
+            for (uint8_t p = 0; p <= isa::kPredT; ++p)
+                for (bool neg : {false, true})
+                    g.ops.push_back(op(Opcode::SEL, g.res(), kA, kB, 0,
+                                       isa::modSetSelPred(0, p, neg)));
+            g.ops.push_back(op(Opcode::SEL, g.res(), isa::kRegZ, kB, 0,
+                               isa::modSetSelPred(0, 0, false)));
+            g.ops.push_back(op(Opcode::SEL, g.res(), kA, isa::kRegZ, 0,
+                               isa::modSetSelPred(0, 1, true)));
+            g.ops.push_back(op(Opcode::SEL, isa::kRegZ, kA, kB, 0,
+                               isa::modSetSelPred(0, 2, false)));
+        }
+        {
+            Group &g = add("P2R/R2P");
+            g.ops.push_back(isa::makeP2R(g.res()));
+            g.ops.push_back(isa::makeR2P(kB));
+            g.ops.push_back(isa::makeP2R(g.res()));
+            g.ops.push_back(isa::makeR2P(isa::kRegZ));
+            g.ops.push_back(isa::makeP2R(g.res()));
+            g.ops.push_back(isa::makeR2P(kA));
+            g.ops.push_back(isa::makeP2R(isa::kRegZ));
+            g.ops.push_back(isa::makeP2R(g.res()));
+        }
+        return v;
+    }
+
+    struct Run {
+        std::vector<uint8_t> out; ///< every round's stored results
+        size_t strip_ops = 0;     ///< strip ops over the group's pcs
+    };
+
+    /** Run @p g for every round; results and the predicate byte of
+     *  each lane go to out[1 + i] and out[0]. */
+    Run
+    runGroup(const Group &g, bool traces)
+    {
+        sim::GpuConfig cfg = smallConfig(traces);
+        cfg.family = isa::ArchFamily::SM7x; // 32-bit immediates
+        sim::GpuDevice gpu(cfg);
+        const unsigned nres = g.next - kFirstRes;
+        mem::DevPtr in_buf = gpu.memory().alloc(3 * 32 * 4);
+        mem::DevPtr out_buf = gpu.memory().alloc((1 + nres) * 32 * 4);
+
+        std::vector<Instruction> prog;
+        prog.push_back(isa::makeS2R(0, isa::SpecialReg::LANEID));
+        prog.push_back(isa::makeMovImm(10, 4));
+        auto laneAddr = [&](uint8_t rd, mem::DevPtr base) {
+            isa::emitMaterialize32(prog, 6, static_cast<uint32_t>(base));
+            isa::emitMaterialize32(prog, 7,
+                                   static_cast<uint32_t>(base >> 32));
+            prog.push_back(op(Opcode::IMAD, rd, 0, 10, 6,
+                              isa::modSetDType(0, isa::DType::U64)));
+        };
+        laneAddr(8, in_buf);
+        prog.push_back(isa::makeLoad(Opcode::LDG, kA, 8, 0));
+        prog.push_back(isa::makeLoad(Opcode::LDG, kB, 8, 128));
+        prog.push_back(isa::makeLoad(Opcode::LDG, kC, 8, 256));
+        laneAddr(12, out_buf);
+        const size_t first = prog.size();
+        prog.insert(prog.end(), g.ops.begin(), g.ops.end());
+        prog.push_back(isa::makeP2R(15));
+        const size_t last = prog.size() - 1;
+        prog.push_back(isa::makeStore(Opcode::STG, 12, 0, 15));
+        for (unsigned i = 0; i < nres; ++i)
+            prog.push_back(isa::makeStore(Opcode::STG, 12, (1 + i) * 128,
+                                          kFirstRes + i));
+        prog.push_back(isa::makeExit());
+        // Page-aligned, so the whole kernel is one superblock.
+        auto bytes = isa::encodeAll(gpu.family(), prog);
+        mem::DevPtr entry = gpu.memory().alloc(bytes.size(), 4096);
+        gpu.memory().write(entry, bytes.data(), bytes.size());
+
+        const std::vector<uint32_t> vals = corpus();
+        const size_t n = vals.size();
+        Run run;
+        for (unsigned r = 0; r < kRounds; ++r) {
+            std::vector<uint32_t> in(3 * 32);
+            for (unsigned l = 0; l < 32; ++l) {
+                const size_t k = r * 32 + l;
+                in[l] = vals[k % n];
+                in[32 + l] = vals[(k / n) % n];
+                in[64 + l] = vals[(k * 7 + 3) % n];
+            }
+            gpu.memory().write(in_buf, in.data(), in.size() * 4);
+            gpu.launch(oneWarp(entry));
+            auto v = gpu.memory().view(out_buf, (1 + nres) * 32 * 4);
+            run.out.insert(run.out.end(), v.begin(), v.end());
+        }
+
+        const size_t ib = isa::instrBytes(gpu.family());
+        if (const sim::Trace *tr = gpu.traceCache().resident(entry)) {
+            for (const sim::StripRun &sr : tr->strips)
+                for (const sim::StripOp &o : sr.ops)
+                    if (o.pc >= entry + first * ib &&
+                        o.pc <= entry + last * ib)
+                        ++run.strip_ops;
+        }
+        return run;
+    }
+};
+
+TEST_F(LaneOpTableTest, EveryOpMatchesTheInterpreterInAStrip)
+{
+    for (const Group &g : groups()) {
+        SCOPED_TRACE(g.name);
+        Run base = runGroup(g, false);
+        Run traced = runGroup(g, true);
+        // Every op of the group (and the closing P2R) ran in a strip.
+        EXPECT_EQ(base.strip_ops, 0u);
+        EXPECT_EQ(traced.strip_ops, g.ops.size() + 1);
+        ASSERT_EQ(base.out.size(), traced.out.size());
+        const size_t round_bytes = base.out.size() / kRounds;
+        for (size_t i = 0; i < base.out.size(); i += 4) {
+            if (std::memcmp(&base.out[i], &traced.out[i], 4) == 0)
+                continue;
+            const size_t in_round = i % round_bytes;
+            ADD_FAILURE() << "round " << i / round_bytes << " lane "
+                          << in_round / 4 % 32 << ": "
+                          << (in_round < 128 ? "predicate byte"
+                                             : "result register R")
+                          << (in_round < 128
+                                  ? ""
+                                  : std::to_string(kFirstRes +
+                                                   in_round / 128 - 1));
+            break;
+        }
     }
 }
 
