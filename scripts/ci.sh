@@ -9,7 +9,9 @@
 # reduction suite `test_reductions`, are only meaningful race-free).
 # The `telemetry` label there also carries the observability-session
 # lifecycle tests (`SessionExitTest.*` in test_telemetry: a launch in
-# flight at exit reaches every artifact; empty values mean unset).
+# flight at exit reaches every artifact; empty values mean unset), and
+# the `trace` label (test_trace) has parallel SMs compile and read the
+# lock-free per-page trace slots of the code cache.
 #
 # The `concurrency` label (`ctest -L concurrency`) selects
 # test_mt_driver and test_reductions.
@@ -86,7 +88,7 @@ if [[ "$run_sanitize" == 1 ]]; then
     cmake --preset tsan
     cmake --build --preset tsan -j "$jobs"
 
-    echo "==> tsan: ctest (driver + concurrency [test_mt_driver, test_reductions] + telemetry [incl. SessionExitTest lifecycle] + sancheck suites)"
+    echo "==> tsan: ctest (driver + concurrency [test_mt_driver, test_reductions] + telemetry [incl. SessionExitTest lifecycle] + sancheck + trace suites)"
     ctest --preset tsan
 fi
 

@@ -297,7 +297,10 @@ deserializeModule(const void *image, size_t size, ModuleData &out)
     if (ver != kVersion)
         return false;
     out = ModuleData{};
-    out.family = static_cast<isa::ArchFamily>(r.u8());
+    const uint8_t family = r.u8();
+    if (family > static_cast<uint8_t>(isa::ArchFamily::SM7x))
+        return false;
+    out.family = static_cast<isa::ArchFamily>(family);
 
     uint32_t nf = r.u32();
     for (uint32_t i = 0; i < nf && r.ok(); ++i)

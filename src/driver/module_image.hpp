@@ -54,9 +54,10 @@ bool isBinaryImage(const void *image, size_t size);
 
 /**
  * Parse a binary image.  @return false on malformed input, including
- * fields placement would trust: a global initialiser longer than its
- * global, a global address slot past the end of bank 1, or a call
- * relocation that does not name a CAL inside its function's code.
+ * an unknown architecture family and fields placement would trust: a
+ * global initialiser longer than its global, a global address slot
+ * past the end of bank 1, or a call relocation that does not name a
+ * CAL inside its function's code.
  */
 bool deserializeModule(const void *image, size_t size, ModuleData &out);
 

@@ -117,7 +117,7 @@ struct GpuConfig {
     static constexpr bool use_predecode = true;
     /**
      * Execute hot straight-line superblocks through the trace engine
-     * (trace_compiler/trace_cache) instead of per-instruction dispatch.
+     * (trace_compiler/trace_exec) instead of per-instruction dispatch.
      * Bit-identical to the per-instruction engine on uninstrumented
      * code; orthogonal to exec_mode.
      * Env override: NVBIT_SIM_TRACES=0|1.

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <optional>
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
@@ -59,6 +60,26 @@ applyEnvOverrides(GpuConfig &cfg)
 
 } // namespace
 
+/** A grid in flat order (x fastest) and each SM's share of it: CTAs
+ *  go round-robin over SMs by flat index. */
+struct GridPlan {
+    std::vector<CtaWork> all;
+    std::vector<std::vector<CtaWork>> per_sm;
+
+    GridPlan(const LaunchParams &lp, unsigned nsm) : per_sm(nsm)
+    {
+        all.reserve(static_cast<size_t>(lp.grid[0]) * lp.grid[1] *
+                    lp.grid[2]);
+        uint64_t cta_index = 0;
+        for (uint32_t z = 0; z < lp.grid[2]; ++z)
+            for (uint32_t y = 0; y < lp.grid[1]; ++y)
+                for (uint32_t x = 0; x < lp.grid[0]; ++x, ++cta_index)
+                    all.push_back(CtaWork{cta_index, {x, y, z}});
+        for (const CtaWork &w : all)
+            per_sm[w.cta_index % nsm].push_back(w);
+    }
+};
+
 GpuDevice::GpuDevice(const GpuConfig &cfg)
     : cfg_(cfg),
       memory_(std::make_unique<mem::DeviceMemory>(cfg.mem_bytes)),
@@ -82,13 +103,12 @@ GpuDevice::GpuDevice(const GpuConfig &cfg)
         memory_->attachShadow(shadow_.get());
     }
     code_cache_ = std::make_unique<CodeCache>(*memory_, cfg_.family);
-    trace_cache_ = std::make_unique<TraceCache>(*memory_, cfg_.family);
     pool_ = std::make_unique<ThreadPool>();
     // Host-side writes (module loads, trampoline patches, cuMemcpy)
-    // invalidate any stale predecoded pages and traces they overlap.
+    // invalidate any stale predecoded pages (and their traces) they
+    // overlap.
     memory_->setWriteObserver([this](mem::DevPtr addr, size_t bytes) {
         code_cache_->invalidateRange(addr, bytes);
-        trace_cache_->invalidateRange(addr, bytes);
     });
 }
 
@@ -103,26 +123,24 @@ GpuDevice::invalidateCaches()
 {
     caches_.invalidateAll();
     code_cache_->invalidateAll();
-    trace_cache_->invalidateAll();
 }
 
 void
 GpuDevice::invalidateCodeRange(mem::DevPtr addr, size_t bytes)
 {
     code_cache_->invalidateRange(addr, bytes);
-    trace_cache_->invalidateRange(addr, bytes);
 }
 
 void
 GpuDevice::registerInlineProbe(const InlineProbe &p)
 {
-    trace_cache_->registerProbe(p);
+    code_cache_->registerProbe(p);
 }
 
 void
 GpuDevice::clearInlineProbes(mem::DevPtr addr, size_t bytes)
 {
-    trace_cache_->clearProbesInRange(addr, bytes);
+    code_cache_->clearProbesInRange(addr, bytes);
 }
 
 void
@@ -151,7 +169,6 @@ GpuDevice::launch(const LaunchParams &lp)
     // No execution threads exist between launches: safe to reclaim
     // pages invalidated since the previous launch.
     code_cache_->collectRetired();
-    trace_cache_->collectRetired();
 
     // Cold-launch mode: start from flushed data caches so this
     // launch's cache stream does not depend on prior launches (the
@@ -159,31 +176,18 @@ GpuDevice::launch(const LaunchParams &lp)
     if (cfg_.cold_launch)
         caches_.invalidateAll();
 
-    // Enumerate the grid and assign CTAs round-robin over SMs.
-    std::vector<CtaWork> all;
-    all.reserve(static_cast<size_t>(lp.grid[0]) * lp.grid[1] *
-                lp.grid[2]);
-    uint64_t cta_index = 0;
-    for (uint32_t z = 0; z < lp.grid[2]; ++z)
-        for (uint32_t y = 0; y < lp.grid[1]; ++y)
-            for (uint32_t x = 0; x < lp.grid[0]; ++x, ++cta_index)
-                all.push_back(CtaWork{cta_index, {x, y, z}});
-
     const unsigned nsm = cfg_.num_sms;
+    const GridPlan grid(lp, nsm);
     std::vector<std::unique_ptr<SmExecutor>> execs = makeExecutors();
-
-    std::vector<std::vector<CtaWork>> per_sm(nsm);
-    for (const CtaWork &w : all)
-        per_sm[w.cta_index % nsm].push_back(w);
 
     if (obs::Tracer::instance().enabled())
         for (unsigned sm = 0; sm < nsm; ++sm)
-            if (!per_sm[sm].empty())
+            if (!grid.per_sm[sm].empty())
                 obs::Tracer::instance().nameThread(
                     obs::kDevicePid, static_cast<int>(sm),
                     strfmt("sm %u", sm));
 
-    AtomicGate gate(all.size(), *memory_);
+    AtomicGate gate(grid.all.size(), *memory_);
     // An armed checkpoint forces serial orchestration so the capture
     // point is deterministic; the engine-equivalence contract makes
     // the launch result identical either way.
@@ -191,21 +195,28 @@ GpuDevice::launch(const LaunchParams &lp)
         // Same executors, same per-SM streams — just one host thread
         // walking the grid in flat order.
         GpuState *arm = arm_out_;
-        for (const CtaWork &w : all) {
+        // The mid-launch capsule: the device, this launch, every SM's
+        // committed state and the in-flight block, if any.
+        auto capture = [&](uint64_t next_cta,
+                           std::optional<SmExecutor::MidCtaImage> mid) {
+            captureDevice(*arm);
+            arm->mid_launch = true;
+            arm->lp = lp;
+            arm->next_cta = next_cta;
+            arm->sms.clear();
+            for (const auto &e : execs)
+                arm->sms.push_back(e->snapshotCommitted());
+            arm->mid_cta = std::move(mid);
+            arm_captured_ = true;
+        };
+        for (const CtaWork &w : grid.all) {
             SmExecutor &ex = *execs[w.cta_index % nsm];
             if (arm != nullptr && w.cta_index == arm_cta_) {
                 ex.setCheckpointHook(
                     arm_round_,
                     [&](const WarpScheduler &sched, uint64_t round) {
-                        captureDevice(*arm);
-                        arm->mid_launch = true;
-                        arm->lp = lp;
-                        arm->next_cta = w.cta_index;
-                        arm->sms.clear();
-                        for (const auto &e : execs)
-                            arm->sms.push_back(e->snapshotCommitted());
-                        arm->mid_cta = ex.snapshotMidCta(sched, round);
-                        arm_captured_ = true;
+                        capture(w.cta_index,
+                                ex.snapshotMidCta(sched, round));
                     });
             }
             ex.runCta(lp, w, gate);
@@ -215,15 +226,7 @@ GpuDevice::launch(const LaunchParams &lp)
                 // The armed CTA finished before the requested round:
                 // fall back to a boundary capture before the next CTA.
                 ex.setCheckpointHook(0, nullptr);
-                captureDevice(*arm);
-                arm->mid_launch = true;
-                arm->lp = lp;
-                arm->next_cta = w.cta_index + 1;
-                arm->sms.clear();
-                for (const auto &e : execs)
-                    arm->sms.push_back(e->snapshotCommitted());
-                arm->mid_cta.reset();
-                arm_captured_ = true;
+                capture(w.cta_index + 1, std::nullopt);
             }
         }
         arm_out_ = nullptr;
@@ -234,10 +237,10 @@ GpuDevice::launch(const LaunchParams &lp)
             std::numeric_limits<uint64_t>::max()};
         std::vector<std::function<void()>> tasks(nsm);
         for (unsigned sm = 0; sm < nsm; ++sm) {
-            if (per_sm[sm].empty())
+            if (grid.per_sm[sm].empty())
                 continue;
             tasks[sm] = [&, sm] {
-                execs[sm]->runAssigned(lp, per_sm[sm], gate,
+                execs[sm]->runAssigned(lp, grid.per_sm[sm], gate,
                                        abort_before);
             };
         }
@@ -258,14 +261,12 @@ GpuDevice::launch(const LaunchParams &lp)
         }
     }
 
-    return finishLaunch(lp, all, execs, per_sm, gate);
+    return finishLaunch(lp, grid, execs, gate);
 }
 
 LaunchStats
-GpuDevice::finishLaunch(const LaunchParams &lp,
-                        const std::vector<CtaWork> &all,
+GpuDevice::finishLaunch(const LaunchParams &lp, const GridPlan &grid,
                         std::vector<std::unique_ptr<SmExecutor>> &execs,
-                        const std::vector<std::vector<CtaWork>> &per_sm,
                         const AtomicGate &gate)
 {
     const unsigned nsm = cfg_.num_sms;
@@ -274,7 +275,7 @@ GpuDevice::finishLaunch(const LaunchParams &lp,
         // entries appear in its own execution order, which is
         // increasing grid order, so one cursor per SM suffices.
         std::vector<size_t> cursor(nsm, 0);
-        for (const CtaWork &w : all) {
+        for (const CtaWork &w : grid.all) {
             unsigned sm = static_cast<unsigned>(w.cta_index % nsm);
             SmExecutor &ex = *execs[sm];
             const auto &logs = ex.l2Logs();
@@ -335,7 +336,7 @@ GpuDevice::finishLaunch(const LaunchParams &lp,
                  : std::array<uint64_t, obs::kNumStallReasons>{};
 
     totals_.merge(stats);
-    publishLaunch(lp, stats, execs, per_sm, gate);
+    publishLaunch(lp, stats, execs, grid.per_sm, gate);
     return stats;
 }
 
@@ -343,13 +344,12 @@ std::vector<std::unique_ptr<SmExecutor>>
 GpuDevice::makeExecutors()
 {
     const unsigned nsm = cfg_.num_sms;
-    TraceCache *tc = cfg_.use_traces ? trace_cache_.get() : nullptr;
     const bool functional = fidelity_ == Fidelity::Functional;
     std::vector<std::unique_ptr<SmExecutor>> execs;
     execs.reserve(nsm);
     for (unsigned sm = 0; sm < nsm; ++sm)
         execs.push_back(std::make_unique<SmExecutor>(
-            sm, cfg_, *memory_, caches_, *code_cache_, tc, functional));
+            sm, cfg_, *memory_, caches_, *code_cache_, functional));
     return execs;
 }
 
@@ -378,7 +378,6 @@ GpuDevice::restore(const GpuState &st)
     // Derived state rebuilds on demand; only the Volatile decode-cache
     // counters observe the difference.
     code_cache_->invalidateAll();
-    trace_cache_->invalidateAll();
 }
 
 void
@@ -401,21 +400,12 @@ GpuDevice::resumeLaunch(const GpuState &st)
     restore(st);
     // No execution threads are live: reclaim what restore() retired.
     code_cache_->collectRetired();
-    trace_cache_->collectRetired();
 
     const LaunchParams &lp = st.lp;
     // NOTE: no cold-launch flush here — the cache state at the capture
     // point (which already saw this launch's flush) is the capsule's.
-    std::vector<CtaWork> all;
-    all.reserve(static_cast<size_t>(lp.grid[0]) * lp.grid[1] *
-                lp.grid[2]);
-    uint64_t cta_index = 0;
-    for (uint32_t z = 0; z < lp.grid[2]; ++z)
-        for (uint32_t y = 0; y < lp.grid[1]; ++y)
-            for (uint32_t x = 0; x < lp.grid[0]; ++x, ++cta_index)
-                all.push_back(CtaWork{cta_index, {x, y, z}});
-
     const unsigned nsm = cfg_.num_sms;
+    const GridPlan grid(lp, nsm);
     std::vector<std::unique_ptr<SmExecutor>> execs = makeExecutors();
     NVBIT_ASSERT(st.sms.size() == execs.size(),
                  "capsule SM count %zu != device SM count %zu",
@@ -423,16 +413,12 @@ GpuDevice::resumeLaunch(const GpuState &st)
     for (size_t sm = 0; sm < execs.size(); ++sm)
         execs[sm]->restoreCommitted(st.sms[sm]);
 
-    std::vector<std::vector<CtaWork>> per_sm(nsm);
-    for (const CtaWork &w : all)
-        per_sm[w.cta_index % nsm].push_back(w);
-
-    AtomicGate gate(all.size(), *memory_,
-                    std::min<uint64_t>(st.next_cta, all.size()));
+    AtomicGate gate(grid.all.size(), *memory_,
+                    std::min<uint64_t>(st.next_cta, grid.all.size()));
 
     // Completion runs serially: bit-identical to any engine config by
     // the serial/parallel equivalence contract.
-    for (const CtaWork &w : all) {
+    for (const CtaWork &w : grid.all) {
         if (w.cta_index < st.next_cta)
             continue;
         SmExecutor &ex = *execs[w.cta_index % nsm];
@@ -443,7 +429,7 @@ GpuDevice::resumeLaunch(const GpuState &st)
         gate.markDone(w.cta_index, ex.pendingReductions());
     }
 
-    return finishLaunch(lp, all, execs, per_sm, gate);
+    return finishLaunch(lp, grid, execs, gate);
 }
 
 void

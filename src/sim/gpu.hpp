@@ -46,11 +46,11 @@
 #include "sim/launch.hpp"
 #include "sim/predecode.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace_cache.hpp"
 
 namespace nvbit::sim {
 
 struct CtaWork;
+struct GridPlan;
 class AtomicGate;
 class SmExecutor;
 struct GpuState;
@@ -113,12 +113,9 @@ class GpuDevice
     /** Eagerly predecode [addr, addr+bytes) (e.g. at module load). */
     void predecodeRange(mem::DevPtr addr, size_t bytes);
 
-    /** The shared predecode cache (stats/inspection). */
+    /** The shared code cache: decoded pages and their traces
+     *  (stats/inspection). */
     const CodeCache &codeCache() const { return *code_cache_; }
-
-    /** The shared trace cache (stats/inspection).  Always present —
-     *  probes can be registered before the engine is switched on. */
-    const TraceCache &traceCache() const { return *trace_cache_; }
 
     /**
      * Register an inlinable instrumentation callsite (called by the
@@ -143,9 +140,9 @@ class GpuDevice
 
     /**
      * Restore a previously captured state.  Data caches get the
-     * captured tag state; derived caches (predecode, traces) are
-     * invalidated and rebuild on demand, changing only the Volatile
-     * decode-cache counters.
+     * captured tag state; the derived code cache (decoded pages and
+     * their traces) is invalidated and rebuilds on demand, changing
+     * only the Volatile decode-cache counters.
      */
     void restore(const GpuState &st);
 
@@ -175,9 +172,8 @@ class GpuDevice
     /** Shared launch tail: L2 replay, shard aggregation, totals merge
      *  and metrics publishing (skipping observability in Functional). */
     LaunchStats finishLaunch(
-        const LaunchParams &lp, const std::vector<CtaWork> &all,
+        const LaunchParams &lp, const GridPlan &grid,
         std::vector<std::unique_ptr<SmExecutor>> &execs,
-        const std::vector<std::vector<CtaWork>> &per_sm,
         const AtomicGate &gate);
 
     /** Fill the launch-independent capsule fields (memory/caches/totals). */
@@ -198,7 +194,6 @@ class GpuDevice
     std::unique_ptr<mem::ShadowMemory> shadow_;
     CacheHierarchy caches_;
     std::unique_ptr<CodeCache> code_cache_;
-    std::unique_ptr<TraceCache> trace_cache_;
     std::unique_ptr<ThreadPool> pool_;
     LaunchStats totals_;
     Fidelity fidelity_ = Fidelity::Full;

@@ -12,18 +12,16 @@ namespace nvbit::sim {
 
 SmExecutor::SmExecutor(unsigned sm, const GpuConfig &cfg,
                        mem::DeviceMemory &mem, CacheHierarchy &caches,
-                       CodeCache &code_cache, TraceCache *trace_cache,
-                       bool functional)
-    : sm_(sm), cfg_(cfg), mem_(mem), caches_(caches),
-      code_cache_(code_cache), trace_cache_(trace_cache),
+                       CodeCache &code_cache, bool functional)
+    : sm_(sm), cfg_(cfg), mem_(mem), caches_(caches), code_cache_(code_cache),
       ib_(isa::instrBytes(cfg.family)),
       ib_shift_(std::countr_zero(ib_)),
       functional_(functional),
       sample_period_(functional ? 0 : cfg.pc_sample_period),
       next_sample_(functional ? 0 : cfg.pc_sample_period)
 {
-    if (trace_cache_)
-        strip_regs_.resize(TraceCompiler::kMaxSlots * kWarpSize);
+    if (cfg.use_traces)
+        strip_regs_.resize(StripRun::kMaxSlots * kWarpSize);
 }
 
 const isa::Instruction *
@@ -343,17 +341,6 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
         noteWarpReadiness(w, true);
         break;
     }
-    // Trace engine: under the convergence guard, replay a compiled
-    // superblock instead of dispatching one instruction.  Requires
-    // budget for at least two slots so traces always pay for
-    // themselves; traps are annotated inside runTrace.
-    if (trace_cache_ && slot.converged && budget > 1) {
-        if (const Trace *tr = lookupTrace(slot.pc)) {
-            consumed = runTrace(sched, interp, w, *tr, slot.active_mask,
-                                budget);
-            return StepResult::Progress;
-        }
-    }
     const uint64_t minpc = slot.pc;
     const uint32_t active_mask = slot.active_mask;
     ThreadCtx *warp = sched.warp(w);
@@ -362,6 +349,19 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
     try {
         isa::Instruction scratch;
         const isa::Instruction *in = fetch(minpc, scratch);
+        // Trace engine: under the convergence guard, replay the
+        // superblock compiled from the page just fetched from instead
+        // of dispatching one instruction.  Requires budget for at
+        // least two slots so traces always pay for themselves; a
+        // misaligned pc was byte-decoded and has no page slot.
+        if (cfg_.use_traces && slot.converged && budget > 1 &&
+            (minpc & (ib_ - 1)) == 0) {
+            if (const Trace *tr = code_cache_.trace(*cached_page_, minpc)) {
+                consumed = runTrace(sched, interp, w, *tr, active_mask,
+                                    budget, exec_mask);
+                return StepResult::Progress;
+            }
+        }
         exec_mask = guardMask(warp, active_mask, *in);
 
         const uint64_t next_pc = minpc + ib_;

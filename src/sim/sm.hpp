@@ -51,7 +51,6 @@
 #include "sim/predecode.hpp"
 #include "sim/reduction_log.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace_cache.hpp"
 #include "sim/warp_scheduler.hpp"
 
 namespace nvbit::sim {
@@ -200,7 +199,7 @@ class SmExecutor : public MemModel
      */
     SmExecutor(unsigned sm, const GpuConfig &cfg, mem::DeviceMemory &mem,
                CacheHierarchy &caches, CodeCache &code_cache,
-               TraceCache *trace_cache = nullptr, bool functional = false);
+               bool functional = false);
 
     /**
      * Run one thread block to completion (serial orchestration).
@@ -351,16 +350,15 @@ class SmExecutor : public MemModel
                         unsigned w, unsigned budget, unsigned &consumed);
 
     /**
-     * Replay one compiled trace for warp @p w (trace_exec.cpp).
-     * Entered only under the convergence guard (active set == every
-     * live thread) with @p budget > 1.  @return issue slots consumed.
+     * Replay one compiled trace for warp @p w (trace_exec.cpp), whose
+     * head stepWarp has fetched.  Entered only under the convergence
+     * guard (active set == every live thread) with @p budget > 1.
+     * @p exec_mask tracks the issuing lanes for trap annotation.
+     * @return issue slots consumed.
      */
     unsigned runTrace(WarpScheduler &sched, Interpreter &interp,
                       unsigned w, const Trace &tr, uint32_t active_mask,
-                      unsigned budget);
-
-    /** Memoised TraceCache::acquire (invalidated by generation()). */
-    const Trace *lookupTrace(uint64_t pc);
+                      unsigned budget, uint32_t &exec_mask);
 
     const isa::Instruction *fetch(uint64_t pc, isa::Instruction &scratch);
     /** Decode one instruction from memory (misaligned-pc fallback). */
@@ -462,7 +460,6 @@ class SmExecutor : public MemModel
     mem::DeviceMemory &mem_;
     CacheHierarchy &caches_;
     CodeCache &code_cache_;
-    TraceCache *trace_cache_; ///< nullptr when the trace engine is off
     size_t ib_;
     unsigned ib_shift_; ///< log2(ib_): page index by shift, not div
     /** Functional fast-forward: skip events/caches/sampling (see ctor). */
@@ -506,9 +503,6 @@ class SmExecutor : public MemModel
     /** Fast path: the page the last fetch came from. */
     const PredecodedImage *cached_page_ = nullptr;
 
-    /** Trace-lookup memo, valid for generation trace_gen_. */
-    uint64_t trace_gen_ = UINT64_MAX;
-    std::unordered_map<uint64_t, const Trace *> trace_memo_;
     /** SoA scratch for strip execution: kMaxSlots x kWarpSize lanes. */
     std::vector<uint32_t> strip_regs_;
     std::array<uint8_t, kWarpSize> strip_preds_{};

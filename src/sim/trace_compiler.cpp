@@ -3,12 +3,19 @@
 #include <set>
 #include <unordered_map>
 
+#include "sim/predecode.hpp"
+
 namespace nvbit::sim {
 
 using isa::Instruction;
 using isa::Opcode;
 
 namespace {
+
+/** Upper bound on instructions per trace. */
+constexpr unsigned kMaxInstrs = 256;
+/** Minimum eligible-op run length worth strip formation. */
+constexpr unsigned kMinStripRun = 4;
 
 /** Ends the superblock after executing (state/PC can change). */
 bool
@@ -54,8 +61,7 @@ class SlotAlloc
         addSrc(s.c);
         if (s.rd != isa::kRegZ && vmap_.find(s.rd) == vmap_.end())
             ++nv;
-        return StripRun::kFirstVarSlot + nv + nc <=
-               TraceCompiler::kMaxSlots;
+        return StripRun::kFirstVarSlot + nv + nc <= StripRun::kMaxSlots;
     }
 
     /** Constant 0 (RZ, unused sources) reads the zero slot. */
@@ -124,37 +130,39 @@ class SlotAlloc
     std::set<uint8_t> dirty_;
 };
 
+/** The probe registered at @p pc, if it still belongs to the JMP
+ *  decoded there (code swaps restore the original bytes without
+ *  unregistering). */
+const InlineProbe *
+probeAt(const ProbeMap &probes, uint64_t pc, const Instruction &in)
+{
+    auto it = probes.find(pc);
+    if (it == probes.end() ||
+        static_cast<uint64_t>(in.imm) * isa::kJmpScale !=
+            it->second.tramp_target)
+        return nullptr;
+    return &it->second;
+}
+
 } // namespace
 
-TraceCompiler::TraceCompiler(const mem::DeviceMemory &mem,
-                             isa::ArchFamily fam)
-    : mem_(mem), fam_(fam), ib_(isa::instrBytes(fam))
-{}
-
 std::unique_ptr<Trace>
-TraceCompiler::compile(uint64_t pc, const ProbeLookup &probe_at) const
+compileTrace(const PredecodedImage &page, size_t start, size_t ib,
+             const ProbeMap &probes)
 {
-    if ((pc & (ib_ - 1)) != 0)
-        return nullptr; // misaligned: per-instruction path only
-    const uint64_t page_end =
-        (pc & ~static_cast<uint64_t>(kPageBytes - 1)) + kPageBytes;
-
-    // --- Pass 1: decode the superblock -------------------------------
+    // --- Pass 1: gather the superblock's decoded entries -------------
     std::vector<RawInstr> raw;
     bool has_probe = false;
-    for (uint64_t p = pc; p < page_end && raw.size() < kMaxInstrs;
-         p += ib_) {
+    for (size_t i = start; i < page.entries.size() && raw.size() < kMaxInstrs;
+         ++i) {
+        const PredecodedEntry &pe = page.entries[i];
+        if (pe.status != PredecodeStatus::Valid)
+            break; // illegal or unmapped: side-exit, trap untraced
         RawInstr r;
-        r.pc = p;
-        try {
-            auto bytes = mem_.view(p, ib_);
-            if (!isa::decode(fam_, bytes.data(), r.in))
-                break; // illegal encoding: side-exit, trap untraced
-        } catch (const mem::DeviceMemory::MemFault &) {
-            break; // unmapped: side-exit
-        }
+        r.in = pe.in;
+        r.pc = page.base + i * ib;
         if (r.in.op == Opcode::JMP && r.in.alwaysExecutes()) {
-            if (const InlineProbe *pr = probe_at(p, r.in)) {
+            if (const InlineProbe *pr = probeAt(probes, r.pc, r.in)) {
                 // A barrier parks threads at their post-advance pc.
                 // Inlined, that is the callsite; through the
                 // trampoline, it is inside the trampoline — and warps
@@ -190,7 +198,7 @@ TraceCompiler::compile(uint64_t pc, const ProbeLookup &probe_at) const
 
     // --- Pass 2: entry formation with strip runs ---------------------
     auto tr = std::make_unique<Trace>();
-    tr->entry_pc = pc;
+    tr->entry_pc = raw.front().pc;
     tr->first_in = raw.front().in;
     uint8_t prev_dst = isa::kRegZ; // entry 0's stall is dynamic
     bool first = true;

@@ -31,24 +31,22 @@
  *    executed directly by the SM instead of interpreting the whole
  *    save/marshal/call/restore trampoline (paper Figures 5/8).
  *
- * Traces never span a code page (invalidation stays page-grained,
- * mirroring CodeCache) and contain no instruction that can change a
- * thread's PC or state except as their final entry, so the entry
- * guard "every live lane is Ready and converged at the entry pc"
- * holds for the whole trace.
+ * A trace is compiled from the decoded entries of one predecoded page
+ * (sim/predecode.hpp), never spans it and is retired with it.  It
+ * contains no instruction that can change a thread's PC or state
+ * except as its final entry, so the entry guard "every live lane is
+ * Ready and converged at the entry pc" holds for the whole trace.
  */
 #ifndef NVBIT_SIM_TRACE_COMPILER_HPP
 #define NVBIT_SIM_TRACE_COMPILER_HPP
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "isa/arch.hpp"
 #include "isa/instruction.hpp"
-#include "mem/device_memory.hpp"
 #include "sim/lane_ops.hpp"
 
 namespace nvbit::sim {
@@ -84,6 +82,8 @@ struct StripRun {
     static constexpr uint8_t kZeroSlot = 0;
     static constexpr uint8_t kSinkSlot = 1;
     static constexpr uint8_t kFirstVarSlot = 2;
+    /** Slot budget per run (zero/sink/vars/consts). */
+    static constexpr unsigned kMaxSlots = 64;
 
     std::vector<StripOp> ops;
     /** Architectural register of each variable slot, in slot order. */
@@ -158,43 +158,21 @@ struct Trace {
     std::vector<InlineProbe> probes;
 };
 
+/** Inline probes keyed by callsite pc. */
+using ProbeMap = std::map<uint64_t, InlineProbe>;
+
+struct PredecodedImage;
+
 /**
- * Compiles superblocks from device memory.  Stateless apart from its
- * references; thread-safe (TraceCache serialises builds anyway).
+ * Compile the superblock entered at entry @p start of @p page (entries
+ * @p ib bytes apart), inlining the still-valid probes of @p probes.
+ * @return nullptr when no worthwhile trace starts there (an illegal or
+ * unmapped entry, an immediate terminator, or fewer than two
+ * instructions with no probe to inline).
  */
-class TraceCompiler
-{
-  public:
-    /** Traces never cross a page: invalidation stays page-grained. */
-    static constexpr size_t kPageBytes = 4096;
-    /** Upper bound on instructions per trace. */
-    static constexpr unsigned kMaxInstrs = 256;
-    /** Minimum eligible-op run length worth strip formation. */
-    static constexpr unsigned kMinStripRun = 4;
-    /** Slot budget per strip run (zero/sink/vars/consts). */
-    static constexpr unsigned kMaxSlots = 64;
-
-    /** Looks up a *valid* inline probe at a pc; null when absent. */
-    using ProbeLookup =
-        std::function<const InlineProbe *(uint64_t pc,
-                                          const isa::Instruction &in)>;
-
-    TraceCompiler(const mem::DeviceMemory &mem, isa::ArchFamily fam);
-
-    /**
-     * Compile the superblock starting at @p pc.  @return nullptr when
-     * no worthwhile trace starts there (unmapped/misaligned pc,
-     * immediate terminator, or fewer than two instructions with no
-     * probe to inline).
-     */
-    std::unique_ptr<Trace> compile(uint64_t pc,
-                                   const ProbeLookup &probe_at) const;
-
-  private:
-    const mem::DeviceMemory &mem_;
-    isa::ArchFamily fam_;
-    size_t ib_;
-};
+std::unique_ptr<Trace> compileTrace(const PredecodedImage &page,
+                                    size_t start, size_t ib,
+                                    const ProbeMap &probes);
 
 } // namespace nvbit::sim
 

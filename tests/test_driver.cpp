@@ -431,6 +431,39 @@ TEST_F(MalformedImageTest, CodeNotWholeInstructionsRejected)
     });
 }
 
+TEST_F(MalformedImageTest, UnknownFamilyRejected)
+{
+    // The family byte follows the 8-byte magic and the u32 version.
+    // The rest of the image is SM7x, so only the family byte is wrong.
+    constexpr size_t kFamilyByte = 8 + 4;
+    for (uint8_t family : {uint8_t{2}, uint8_t{0xFF}}) {
+        SCOPED_TRACE(static_cast<int>(family));
+        expectImageRejected(
+            [&](ptx::CompiledModule &cm, std::vector<uint8_t> &image) {
+                cm = ptx::compile(kGlobalAndCall, isa::ArchFamily::SM7x);
+                image = serializeModule(cm);
+                ASSERT_EQ(image.at(kFamilyByte),
+                          static_cast<uint8_t>(isa::ArchFamily::SM7x));
+                image.at(kFamilyByte) = family;
+                // The parser rejects it; placement never sees it.
+                ModuleData data;
+                EXPECT_FALSE(
+                    deserializeModule(image.data(), image.size(), data));
+            });
+    }
+}
+
+TEST_F(MalformedImageTest, OtherFamilyImageRejected)
+{
+    // Well formed, but built for the family the device does not run.
+    const isa::ArchFamily other = device().family() == isa::ArchFamily::SM5x
+                                      ? isa::ArchFamily::SM7x
+                                      : isa::ArchFamily::SM5x;
+    expectRejected([&](ptx::CompiledModule &cm) {
+        cm = ptx::compile(kGlobalAndCall, other);
+    });
+}
+
 TEST_F(DriverTest, LaunchSharedMemoryMustFitOneSm)
 {
     CUmodule mod;

@@ -527,8 +527,9 @@ TEST_F(ObsTest, TraceOutputHasExpectedTracksAndSchema)
         }
         if (ph == "M")
             ++metadata;
-        if (ph == "i")
+        if (ph == "i") {
             EXPECT_EQ(TraceFile::strField(ev, "s"), "g") << ev;
+        }
     }
     EXPECT_GE(metadata, 4u); // process names + host thread names
     EXPECT_GT(completes, 0u);

@@ -6,13 +6,14 @@
  *  1. Differential property test: every tier-1 workload runs under all
  *     four engine configurations (tests/engine_matrix.hpp) and must
  *     produce identical device-memory contents and launch statistics.
- *  2. Cache-coherence tests: rewriting code after it has been
- *     predecoded — through a host write(), a mutableView() patch (the
+ *  2. Cache-coherence tests, in every engine configuration: rewriting
+ *     code after it has been predecoded (and, traced, compiled) —
+ *     through a host write(), a mutableView() patch (the
  *     trampoline-patching and code-swap path), explicit invalidation,
- *     or a checkpoint restore() — drops the affected pages, and the
- *     next launch re-predecodes and observes the new bytes (the
- *     simulator-level analogue of NVBit's instrumented-code
- *     cache-invalidation protocol).
+ *     or a checkpoint restore() — drops the affected pages with their
+ *     traces, and the next launch re-predecodes and observes the new
+ *     bytes (the simulator-level analogue of NVBit's
+ *     instrumented-code cache-invalidation protocol).
  *  3. Shard-aggregate test: per-SM statistics shards merged after a
  *     parallel launch equal the serial totals field by field.
  */
@@ -217,13 +218,45 @@ class PredecodeTest : public ::testing::Test
     std::unique_ptr<sim::GpuDevice> gpu_;
 };
 
-TEST_F(PredecodeTest, HostWriteInvalidatesAndRepredecodes)
+/** The host paths that rewrite code, in every engine configuration. */
+class CodeCacheTest
+    : public PredecodeTest,
+      public ::testing::WithParamInterface<EngineConfig>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        clearEngineEnv();
+        sim::GpuConfig cfg = smallConfig();
+        GetParam().apply(cfg);
+        gpu_ = std::make_unique<sim::GpuDevice>(cfg);
+    }
+
+    /** The code about to be rewritten has a compiled trace exactly
+     *  when the row is traced. */
+    void
+    expectTraceBuilt()
+    {
+        EXPECT_EQ(gpu_->codeCache().residentTraces() > 0,
+                  GetParam().traces);
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, CodeCacheTest,
+                         ::testing::ValuesIn(kEngineMatrix),
+                         [](const auto &info) {
+                             return std::string(info.param.name);
+                         });
+
+TEST_P(CodeCacheTest, HostWriteInvalidatesAndRepredecodes)
 {
     mem::DevPtr buf = gpu_->memory().alloc(4);
     uint64_t entry = place(storeImmProgram(buf, 111));
 
     gpu_->launch(oneThread(entry));
     EXPECT_EQ(gpu_->memory().read32(buf), 111u);
+    expectTraceBuilt();
     uint64_t built0 = gpu_->codeCache().pagesBuilt();
     uint64_t inv0 = gpu_->codeCache().invalidations();
     EXPECT_GE(built0, 1u);
@@ -240,7 +273,7 @@ TEST_F(PredecodeTest, HostWriteInvalidatesAndRepredecodes)
     EXPECT_GT(gpu_->codeCache().pagesBuilt(), built0);
 }
 
-TEST_F(PredecodeTest, ExplicitInvalidationProtocol)
+TEST_P(CodeCacheTest, ExplicitInvalidationProtocol)
 {
     mem::DevPtr buf = gpu_->memory().alloc(4);
     std::vector<Instruction> prog = storeImmProgram(buf, 7);
@@ -258,6 +291,7 @@ TEST_F(PredecodeTest, ExplicitInvalidationProtocol)
     EXPECT_EQ(gpu_->memory().read32(buf), 7u);
     EXPECT_EQ(st.decode_cache_hits + st.decode_cache_misses,
               st.warp_instrs);
+    expectTraceBuilt();
 
     // Explicit range invalidation (the NVBit patching path).
     uint64_t inv0 = gpu_->codeCache().invalidations();
@@ -269,13 +303,14 @@ TEST_F(PredecodeTest, ExplicitInvalidationProtocol)
     EXPECT_GE(gpu_->codeCache().residentPages(), 1u);
     gpu_->invalidateCaches();
     EXPECT_EQ(gpu_->codeCache().residentPages(), 0u);
+    EXPECT_EQ(gpu_->codeCache().residentTraces(), 0u);
 
     // Still executes correctly after a full flush (lazy rebuild).
     gpu_->launch(oneThread(entry));
     EXPECT_EQ(gpu_->memory().read32(buf), 7u);
 }
 
-TEST_F(PredecodeTest, MutableViewPatchInvalidatesAndRepredecodes)
+TEST_P(CodeCacheTest, MutableViewPatchInvalidatesAndRepredecodes)
 {
     // The NVBit core rewrites code in place through mutableView()
     // (jump-to-trampoline patching, code swapping); the view must drop
@@ -284,6 +319,7 @@ TEST_F(PredecodeTest, MutableViewPatchInvalidatesAndRepredecodes)
     uint64_t entry = place(storeImmProgram(buf, 111));
     gpu_->launch(oneThread(entry));
     EXPECT_EQ(gpu_->memory().read32(buf), 111u);
+    expectTraceBuilt();
 
     auto code = gpu_->memory().mutableView(
         entry, isa::instrBytes(gpu_->family()));
@@ -293,7 +329,7 @@ TEST_F(PredecodeTest, MutableViewPatchInvalidatesAndRepredecodes)
     EXPECT_EQ(gpu_->memory().read32(buf), 222u);
 }
 
-TEST_F(PredecodeTest, RestoreInvalidatesPredecodedCode)
+TEST_P(CodeCacheTest, RestoreInvalidatesPredecodedCode)
 {
     // DeviceMemory::restore() bypasses the write observer, so
     // GpuDevice::restore() must flush the code cache itself.
@@ -306,6 +342,7 @@ TEST_F(PredecodeTest, RestoreInvalidatesPredecodedCode)
     gpu_->memory().write(entry, enc, isa::instrBytes(gpu_->family()));
     gpu_->launch(oneThread(entry)); // predecodes the patched page
     EXPECT_EQ(gpu_->memory().read32(buf), 222u);
+    expectTraceBuilt();
 
     gpu_->restore(before);
     gpu_->launch(oneThread(entry));

@@ -3,8 +3,8 @@
  * Tests for the trace-compiled threaded-code execution engine.
  *
  * Four groups:
- *  1. TraceCache unit tests: superblock compilation, the negative
- *     ("not worthwhile") sentinel, and pointer stability.
+ *  1. Code-cache trace unit tests: superblock compilation, the
+ *     negative ("not worthwhile") sentinel, and pointer stability.
  *  2. Invalidation protocol: code swaps (the simulator-level analogue
  *     of nvbit_insert_call re-instrumentation) and probe-registry
  *     changes retire compiled traces; the registry empties on module
@@ -32,7 +32,7 @@
 #include "engine_matrix.hpp"
 #include "isa/abi.hpp"
 #include "sim/gpu.hpp"
-#include "sim/trace_cache.hpp"
+#include "sim/predecode.hpp"
 #include "tools/instr_count.hpp"
 
 namespace nvbit {
@@ -93,7 +93,7 @@ class TraceTestBase : public ::testing::Test
 };
 
 // ---------------------------------------------------------------------
-// 1. TraceCache compilation
+// 1. Trace compilation in the code cache
 // ---------------------------------------------------------------------
 
 class TraceCacheTest : public TraceTestBase
@@ -107,23 +107,27 @@ TEST_F(TraceCacheTest, CompilesSuperblockAndCachesNegativeResult)
     uint64_t entry = place(gpu, prog);
     const size_t ib = isa::instrBytes(gpu.family());
 
-    sim::TraceCache cache(gpu.memory(), gpu.family());
-    const sim::Trace *tr = cache.acquire(entry);
+    sim::CodeCache cache(gpu.memory(), gpu.family());
+    const sim::PredecodedImage *page = cache.acquire(entry);
+    ASSERT_NE(page, nullptr);
+    const sim::Trace *tr = cache.trace(*page, entry);
     ASSERT_NE(tr, nullptr);
     EXPECT_EQ(tr->entry_pc, entry);
     EXPECT_GE(tr->n_instrs, 16u);
     EXPECT_EQ(cache.tracesBuilt(), 1u);
     EXPECT_EQ(cache.residentTraces(), 1u);
 
-    // Second acquire is a cache hit on the same object.
-    EXPECT_EQ(cache.acquire(entry), tr);
+    // A second request is a cache hit on the same object.
+    EXPECT_EQ(cache.trace(*page, entry), tr);
     EXPECT_EQ(cache.tracesBuilt(), 1u);
 
     // A lone terminal cannot form a worthwhile trace; the negative
     // result is cached (no recompile attempt on re-touch).
     uint64_t exit_pc = entry + (prog.size() - 1) * ib;
-    EXPECT_EQ(cache.acquire(exit_pc), nullptr);
-    EXPECT_EQ(cache.acquire(exit_pc), nullptr);
+    const sim::PredecodedImage *exit_page = cache.acquire(exit_pc);
+    ASSERT_NE(exit_page, nullptr);
+    EXPECT_EQ(cache.trace(*exit_page, exit_pc), nullptr);
+    EXPECT_EQ(cache.trace(*exit_page, exit_pc), nullptr);
     EXPECT_EQ(cache.tracesBuilt(), 1u);
 }
 
@@ -135,8 +139,50 @@ TEST_F(TraceCacheTest, TracedLaunchPopulatesDeviceCache)
 
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 16u);
-    EXPECT_GE(gpu.traceCache().tracesBuilt(), 1u);
-    EXPECT_GE(gpu.traceCache().residentTraces(), 1u);
+    EXPECT_GE(gpu.codeCache().tracesBuilt(), 1u);
+    EXPECT_GE(gpu.codeCache().residentTraces(), 1u);
+}
+
+TEST_F(TraceCacheTest, ParallelSmsShareOneCompiledTrace)
+{
+    // Every CTA enters the same superblock: the SMs running them in
+    // parallel compile it once and read its page's trace slots
+    // lock-free (the access ThreadSanitizer watches under -L trace).
+    sim::GpuDevice gpu(smallConfig(true));
+    ASSERT_EQ(gpu.config().exec_mode, sim::ExecMode::Parallel);
+    constexpr unsigned kCtas = 16;
+    mem::DevPtr buf = gpu.memory().alloc(4 * kCtas);
+
+    // R4 = 16, stored to buf[ctaid.x] so no two CTAs share a word.
+    std::vector<Instruction> prog;
+    prog.push_back(isa::makeMovImm(4, 0));
+    for (unsigned i = 0; i < 16; ++i)
+        prog.push_back(isa::makeIAddImm(4, 4, 1));
+    prog.push_back(isa::makeS2R(8, isa::SpecialReg::CTAID_X));
+    prog.push_back(isa::makeMovImm(10, 4));
+    isa::emitMaterialize32(prog, 6, static_cast<uint32_t>(buf));
+    isa::emitMaterialize32(prog, 7, static_cast<uint32_t>(buf >> 32));
+    Instruction mad;
+    mad.op = Opcode::IMAD;
+    mad.mod = isa::modSetDType(0, isa::DType::U64);
+    mad.rd = 6;
+    mad.ra = 8;
+    mad.rb = 10;
+    mad.rc = 6;
+    prog.push_back(mad);
+    prog.push_back(isa::makeStore(Opcode::STG, 6, 0, 4));
+    prog.push_back(isa::makeExit());
+    auto bytes = isa::encodeAll(gpu.family(), prog);
+    // Page-aligned, so the whole kernel is one superblock.
+    mem::DevPtr entry = gpu.memory().alloc(bytes.size(), 4096);
+    gpu.memory().write(entry, bytes.data(), bytes.size());
+
+    sim::LaunchParams lp = oneWarp(entry);
+    lp.grid[0] = kCtas;
+    gpu.launch(lp);
+    for (unsigned c = 0; c < kCtas; ++c)
+        EXPECT_EQ(gpu.memory().read32(buf + 4 * c), 16u) << "CTA " << c;
+    EXPECT_EQ(gpu.codeCache().tracesBuilt(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -151,8 +197,7 @@ TEST_F(TraceCacheTest, CodeSwapInvalidatesCompiledTraces)
 
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 8u);
-    uint64_t gen0 = gpu.traceCache().generation();
-    uint64_t inv0 = gpu.traceCache().invalidations();
+    uint64_t inv0 = gpu.codeCache().invalidations();
 
     // Swap the first instruction (MOV R4, 0 -> MOV R4, 100): the exact
     // write path nvbit_insert_call's trampoline patching uses.  The
@@ -160,8 +205,7 @@ TEST_F(TraceCacheTest, CodeSwapInvalidatesCompiledTraces)
     uint8_t enc[16];
     isa::encode(gpu.family(), isa::makeMovImm(4, 100), enc);
     gpu.memory().write(entry, enc, isa::instrBytes(gpu.family()));
-    EXPECT_GT(gpu.traceCache().invalidations(), inv0);
-    EXPECT_GT(gpu.traceCache().generation(), gen0);
+    EXPECT_GT(gpu.codeCache().invalidations(), inv0);
 
     // The relaunch recompiles and observes the new code.
     gpu.launch(oneWarp(entry));
@@ -201,17 +245,17 @@ TEST_F(TraceCacheTest, ProbeRegistryChangesRetireCoveringTraces)
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 8u);
 
-    // Registering an inline probe at the callsite bumps the generation
-    // and retires covering traces so they recompile inlined.
-    uint64_t gen0 = gpu.traceCache().generation();
+    // Registering an inline probe at the callsite retires the page of
+    // covering traces so they recompile inlined.
+    uint64_t inv0 = gpu.codeCache().invalidations();
     sim::InlineProbe p;
     p.jmp_pc = callsite;
     p.tramp_target = tramp_base;
     p.orig = isa::makeIAddImm(4, 4, 1);
     p.warp_counter = counter;
     gpu.registerInlineProbe(p);
-    EXPECT_GT(gpu.traceCache().generation(), gen0);
-    EXPECT_EQ(gpu.traceCache().probeCount(), 1u);
+    EXPECT_GT(gpu.codeCache().invalidations(), inv0);
+    EXPECT_EQ(gpu.codeCache().probeCount(), 1u);
 
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 8u);
@@ -220,10 +264,10 @@ TEST_F(TraceCacheTest, ProbeRegistryChangesRetireCoveringTraces)
     EXPECT_EQ(gpu.memory().read32(counter), 1u);
 
     // Module unload / re-instrumentation clears the registry.
-    uint64_t gen1 = gpu.traceCache().generation();
+    uint64_t inv1 = gpu.codeCache().invalidations();
     gpu.clearInlineProbes(entry, prog.size() * ib);
-    EXPECT_EQ(gpu.traceCache().probeCount(), 0u);
-    EXPECT_GT(gpu.traceCache().generation(), gen1);
+    EXPECT_EQ(gpu.codeCache().probeCount(), 0u);
+    EXPECT_GT(gpu.codeCache().invalidations(), inv1);
 
     // Back through the trampoline; results unchanged, counter frozen.
     gpu.launch(oneWarp(entry));
@@ -699,7 +743,7 @@ class LaneOpTableTest : public TraceTestBase
         }
 
         const size_t ib = isa::instrBytes(gpu.family());
-        if (const sim::Trace *tr = gpu.traceCache().resident(entry)) {
+        if (const sim::Trace *tr = gpu.codeCache().residentTrace(entry)) {
             for (const sim::StripRun &sr : tr->strips)
                 for (const sim::StripOp &o : sr.ops)
                     if (o.pc >= entry + first * ib &&
