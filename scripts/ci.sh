@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# CI entry point: docs hygiene, tier-1 build + full test suite, a fast
-# bench smoke (validating the BENCH_*.json artifact path), the perf
-# guard and the repo benchmark's self-test, then the whole test suite
-# under ASan+UBSan via the `sanitize` CMake preset, once with the
-# per-instruction engine and once traced (`NVBIT_SIM_TRACES=1`), and
-# the driver/concurrency suites under ThreadSanitizer via the `tsan`
-# preset (the multi-tenant stress and chaos tests, and the grid-order
-# reduction suite `test_reductions`, are only meaningful race-free).
+# CI entry point: docs hygiene, a warning-free (-Werror) tier-1 build +
+# full test suite, a fast bench smoke (validating the BENCH_*.json
+# artifact path), the perf guard and the repo benchmark's self-test,
+# then the whole test suite under ASan+UBSan via the `sanitize` CMake
+# preset, once with the per-instruction engine and once traced
+# (`NVBIT_SIM_TRACES=1`), and the driver/concurrency suites under
+# ThreadSanitizer via the `tsan` preset (the multi-tenant stress and
+# chaos tests, and the grid-order reduction suite `test_reductions`
+# with its racing-store test, are only meaningful race-free).
 # The `telemetry` label there also carries the observability-session
 # lifecycle tests (`SessionExitTest.*` in test_telemetry: a launch in
 # flight at exit reaches every artifact; empty values mean unset), and
@@ -32,8 +33,9 @@ jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 echo "==> docs: check_docs.sh"
 scripts/check_docs.sh
 
-echo "==> tier-1: configure + build"
-cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+echo "==> tier-1: configure + build (warnings are errors)"
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "$jobs"
 
 echo "==> tier-1: ctest"

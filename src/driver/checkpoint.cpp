@@ -58,18 +58,10 @@ resumeCheckpointedLaunch(CUcontext ctx, CUfunction fn,
 {
     NVBIT_ASSERT(ctx != nullptr,
                  "resumeCheckpointedLaunch needs a context");
-    detail::GpuSlot &slot = detail::gpuSlot(ctx->gpu_index);
-    try {
-        sim::LaunchStats stats;
-        {
-            std::lock_guard<std::mutex> dev(slot.mu);
-            stats = slot.gpu->resumeLaunch(st);
-        }
-        detail::noteLaunchDone(ctx, fn, stats);
-        return CUDA_SUCCESS;
-    } catch (const sim::DeviceException &e) {
-        return detail::noteLaunchFault(ctx, fn, e);
-    }
+    return detail::runLaunch(ctx, fn, ctx->gpu_index,
+                             [&](sim::GpuDevice &gpu) {
+                                 return gpu.resumeLaunch(st);
+                             });
 }
 
 } // namespace nvbit::cudrv

@@ -318,12 +318,6 @@ resultOfTrap(sim::TrapCode code)
     return CUDA_ERROR_LAUNCH_FAILED;
 }
 
-std::string
-tenantMetric(const CUctx_st *ctx, const char *suffix)
-{
-    return strfmt("driver.tenant%u.%s", ctx->tenant_id, suffix);
-}
-
 /** Slot index device-memory APIs should target for @p ctx. */
 unsigned
 slotIndexFor(CUcontext ctx)
@@ -360,26 +354,22 @@ slotIndexForPtr(CUcontext ctx, CUdeviceptr ptr)
 }
 
 /**
- * Execute a launch synchronously on the calling thread (the inline
- * fast path for legacy-stream launches, and the no-context fallback).
- * Called with no locks held; takes only the GPU slot mutex.
+ * The stream an entry point targets, resolved in place: the null
+ * stream is the calling thread's context's default (legacy) stream.
+ * Explicit handles pass through; the stream service validates them
+ * under its lock.  Fails with CUDA_ERROR_INVALID_CONTEXT when the null
+ * stream is named without a current context.
  */
 CUresult
-runLaunchNow(CUctx_st *ctx, CUfunc_st *fn, const sim::LaunchParams &lp,
-             unsigned gpu_index)
+resolveStream(CUstream &stream)
 {
-    detail::GpuSlot &slot = detail::gpuSlot(gpu_index);
-    try {
-        sim::LaunchStats st;
-        {
-            std::lock_guard<std::mutex> dev(slot.mu);
-            st = slot.gpu->launch(lp);
-        }
-        detail::noteLaunchDone(ctx, fn, st);
+    if (stream)
         return CUDA_SUCCESS;
-    } catch (const sim::DeviceException &e) {
-        return detail::noteLaunchFault(ctx, fn, e);
-    }
+    CUcontext ctx = curCtx();
+    if (!ctx)
+        return CUDA_ERROR_INVALID_CONTEXT;
+    stream = ctx->default_stream;
+    return CUDA_SUCCESS;
 }
 
 } // namespace
@@ -571,6 +561,14 @@ gpuSlotCount()
     return static_cast<unsigned>(state().gpus.size());
 }
 
+std::string
+tenantMetric(const CUctx_st *ctx, const char *suffix)
+{
+    return strfmt("driver.tenant%u.%s", ctx->tenant_id, suffix);
+}
+
+namespace {
+
 void
 noteLaunchDone(CUctx_st *ctx, CUfunc_st *fn, const sim::LaunchStats &st)
 {
@@ -599,7 +597,7 @@ noteLaunchDone(CUctx_st *ctx, CUfunc_st *fn, const sim::LaunchStats &st)
             txn.add(tenantMetric(ctx, "cycles"), st.cycles);
         }
     }
-    detail::accumulateEventGroups(ctx, st.events);
+    accumulateEventGroups(ctx, st.events);
 }
 
 CUresult
@@ -658,6 +656,26 @@ noteLaunchFault(CUctx_st *ctx, CUfunc_st *fn,
           ctx ? std::to_string(ctx->tenant_id) : std::string("-")}});
     obs::session::flush();
     return r;
+}
+
+} // namespace
+
+CUresult
+runLaunch(CUctx_st *ctx, CUfunc_st *fn, unsigned gpu_index,
+          const std::function<sim::LaunchStats(sim::GpuDevice &)> &body)
+{
+    GpuSlot &slot = gpuSlot(gpu_index);
+    try {
+        sim::LaunchStats st;
+        {
+            std::lock_guard<std::mutex> dev(slot.mu);
+            st = body(*slot.gpu);
+        }
+        noteLaunchDone(ctx, fn, st);
+        return CUDA_SUCCESS;
+    } catch (const sim::DeviceException &e) {
+        return noteLaunchFault(ctx, fn, e);
+    }
 }
 
 DriverAccounting
@@ -1281,28 +1299,40 @@ cuMemGetInfo(size_t *free_bytes, size_t *total_bytes)
 
 // --- Async memcpy -----------------------------------------------------------
 
+namespace {
+
+/** Shared body of the async copies: the calling context must be live
+ *  and healthy, and an explicit @p stream must belong to it. */
+CUresult
+submitCopy(CUstream stream, std::shared_ptr<StreamOp> op)
+{
+    CUcontext ctx = curCtx();
+    if (!ctx)
+        return CUDA_ERROR_INVALID_CONTEXT;
+    if (CUresult e = ctx->sticky_error)
+        return e;
+    detail::StreamService &svc = detail::StreamService::instance();
+    if (stream && !svc.streamBelongsTo(stream, ctx))
+        return CUDA_ERROR_INVALID_HANDLE;
+    if (CUresult e = resolveStream(stream))
+        return e;
+    return svc.submit(stream, std::move(op), false);
+}
+
+} // namespace
+
 CUresult
 cuMemcpyHtoDAsync(CUdeviceptr dst, const void *src, size_t bytes,
                   CUstream stream)
 {
     cuMemcpyAsync_params p{dst, 0, src, nullptr, bytes, stream};
     ApiScope scope(CallbackId::cuMemcpyHtoDAsync, &p);
-    CUcontext ctx = curCtx();
-    if (!ctx)
-        return scope.status() = CUDA_ERROR_INVALID_CONTEXT;
-    if (CUresult e = ctx->sticky_error)
-        return scope.status() = e;
-    detail::StreamService &svc = detail::StreamService::instance();
-    if (stream && !svc.streamBelongsTo(stream, ctx))
-        return scope.status() = CUDA_ERROR_INVALID_HANDLE;
     auto op = std::make_shared<StreamOp>();
     op->kind = StreamOp::Kind::CopyHtoD;
     op->dptr = dst;
     op->src_host = src;
     op->bytes = bytes;
-    return scope.status() =
-               svc.enqueue(stream ? stream : ctx->default_stream,
-                           std::move(op), false);
+    return scope.status() = submitCopy(stream, std::move(op));
 }
 
 CUresult
@@ -1311,22 +1341,12 @@ cuMemcpyDtoHAsync(void *dst, CUdeviceptr src, size_t bytes,
 {
     cuMemcpyAsync_params p{0, src, nullptr, dst, bytes, stream};
     ApiScope scope(CallbackId::cuMemcpyDtoHAsync, &p);
-    CUcontext ctx = curCtx();
-    if (!ctx)
-        return scope.status() = CUDA_ERROR_INVALID_CONTEXT;
-    if (CUresult e = ctx->sticky_error)
-        return scope.status() = e;
-    detail::StreamService &svc = detail::StreamService::instance();
-    if (stream && !svc.streamBelongsTo(stream, ctx))
-        return scope.status() = CUDA_ERROR_INVALID_HANDLE;
     auto op = std::make_shared<StreamOp>();
     op->kind = StreamOp::Kind::CopyDtoH;
     op->dptr = src;
     op->dst_host = dst;
     op->bytes = bytes;
-    return scope.status() =
-               svc.enqueue(stream ? stream : ctx->default_stream,
-                           std::move(op), false);
+    return scope.status() = submitCopy(stream, std::move(op));
 }
 
 // --- Streams and events -----------------------------------------------------
@@ -1375,14 +1395,9 @@ cuStreamSynchronize(CUstream stream)
 CUresult
 cuStreamQuery(CUstream stream)
 {
-    detail::StreamService &svc = detail::StreamService::instance();
-    if (!stream) {
-        CUcontext ctx = curCtx();
-        if (!ctx)
-            return CUDA_ERROR_INVALID_CONTEXT;
-        return svc.streamQuery(ctx->default_stream);
-    }
-    return svc.streamQuery(stream);
+    if (CUresult e = resolveStream(stream))
+        return e;
+    return detail::StreamService::instance().streamQuery(stream);
 }
 
 CUresult
@@ -1390,14 +1405,11 @@ cuStreamWaitEvent(CUstream stream, CUevent event, unsigned flags)
 {
     cuStreamWaitEvent_params p{stream, event, flags};
     ApiScope scope(CallbackId::cuStreamWaitEvent, &p);
-    detail::StreamService &svc = detail::StreamService::instance();
-    if (!stream) {
-        CUcontext ctx = curCtx();
-        if (!ctx)
-            return scope.status() = CUDA_ERROR_INVALID_CONTEXT;
-        stream = ctx->default_stream;
-    }
-    return scope.status() = svc.streamWaitEvent(stream, event, flags);
+    if (CUresult e = resolveStream(stream))
+        return scope.status() = e;
+    return scope.status() =
+               detail::StreamService::instance().streamWaitEvent(
+                   stream, event, flags);
 }
 
 CUresult
@@ -1429,14 +1441,11 @@ cuEventRecord(CUevent event, CUstream stream)
 {
     cuEventRecord_params p{event, stream};
     ApiScope scope(CallbackId::cuEventRecord, &p);
-    detail::StreamService &svc = detail::StreamService::instance();
-    if (!stream) {
-        CUcontext ctx = curCtx();
-        if (!ctx)
-            return scope.status() = CUDA_ERROR_INVALID_CONTEXT;
-        stream = ctx->default_stream;
-    }
-    return scope.status() = svc.eventRecord(event, stream);
+    if (CUresult e = resolveStream(stream))
+        return scope.status() = e;
+    return scope.status() =
+               detail::StreamService::instance().eventRecord(event,
+                                                             stream);
 }
 
 CUresult
@@ -1522,11 +1531,9 @@ cuLaunchKernel(CUfunction fn, unsigned grid_x, unsigned grid_y,
 
     CUcontext ctx = curCtx();
     detail::StreamService &svc = detail::StreamService::instance();
-    // Stream resolution: the null stream is the context's default
-    // (legacy) stream; explicit handles must be live and belong to
-    // the calling context.
-    const bool legacy = stream == nullptr;
-    if (!legacy && (!ctx || !svc.streamBelongsTo(stream, ctx)))
+    // An explicit stream must be live and belong to the calling
+    // context.
+    if (stream && (!ctx || !svc.streamBelongsTo(stream, ctx)))
         return scope.status() = CUDA_ERROR_INVALID_HANDLE;
     // Static plus dynamic shared memory must fit one SM; the sum is
     // taken in 64 bits so a huge dynamic size cannot wrap past it.
@@ -1568,58 +1575,33 @@ cuLaunchKernel(CUfunction fn, unsigned grid_x, unsigned grid_y,
         }
     }
 
+    obs::TraceSpan span(obs::kHostPid, obs::kHostApiTid, fn->name,
+                        "driver.launch");
+    span.arg("grid", static_cast<uint64_t>(grid_x) * grid_y * grid_z);
+    span.arg("block", static_cast<uint64_t>(block_x) * block_y * block_z);
     if (!ctx) {
         // Legacy: a launch without a context executes synchronously on
         // device 0 with no fault domain to poison.
-        obs::TraceSpan span(obs::kHostPid, obs::kHostApiTid, fn->name,
-                            "driver.launch");
-        return scope.status() = runLaunchNow(nullptr, fn, lp, 0);
+        return scope.status() =
+                   detail::runLaunch(nullptr, fn, 0,
+                                     [&](sim::GpuDevice &gpu) {
+                                         return gpu.launch(lp);
+                                     });
     }
-
-    // While an NVBit tool is attached every launch is synchronous:
-    // the core instruments on the entry callback and reads the launch
-    // stats on the exit callback, so the work must be complete before
-    // this API returns.
-    const bool sync_launch = legacy || driverInterposerActive();
-    if (sync_launch) {
-        obs::TraceSpan span(obs::kHostPid, obs::kHostApiTid, fn->name,
-                            "driver.launch");
-        span.arg("grid",
-                 static_cast<uint64_t>(grid_x) * grid_y * grid_z);
-        span.arg("block",
-                 static_cast<uint64_t>(block_x) * block_y * block_z);
-        if (legacy && svc.tryBeginInline(ctx)) {
-            // Fast path: every stream of the context is idle, so
-            // legacy ordering holds trivially and the launch runs on
-            // this thread with no worker handoff.
-            const uint64_t t0 = nowNs();
-            CUresult r = runLaunchNow(ctx, fn, lp, ctx->gpu_index);
-            svc.endInline(ctx);
-            obs::MetricsRegistry::instance().observe(
-                tenantMetric(ctx, "launch_latency_us"),
-                (nowNs() - t0) / 1000);
-            return scope.status() = r;
-        }
-        auto op = std::make_shared<StreamOp>();
-        op->kind = StreamOp::Kind::Launch;
-        op->fn = fn;
-        op->lp = std::move(lp);
-        CUstream_st *target = legacy ? ctx->default_stream : stream;
-        CUresult er = svc.enqueue(target, op, /*waited=*/true);
-        if (er != CUDA_SUCCESS)
-            return scope.status() = er;
-        return scope.status() = svc.waitOp(op);
-    }
-
-    // Asynchronous path: enqueue on the explicit stream and return.
-    // Subject to the bounded-queue backpressure contract; faults are
-    // deferred to the next synchronisation.
+    // A null-stream launch is waited (synchronous), and so is every
+    // launch while an NVBit tool is attached: the core instruments on
+    // the entry callback and reads the launch stats on the exit
+    // callback, so the work must be complete before this API returns.
+    // An async launch is subject to the bounded-queue backpressure
+    // contract; its fault is deferred to the next synchronisation.
+    const bool waited = !stream || driverInterposerActive();
+    if (CUresult e = resolveStream(stream))
+        return scope.status() = e;
     auto op = std::make_shared<StreamOp>();
     op->kind = StreamOp::Kind::Launch;
     op->fn = fn;
     op->lp = std::move(lp);
-    return scope.status() = svc.enqueue(stream, std::move(op),
-                                        /*waited=*/false);
+    return scope.status() = svc.submit(stream, std::move(op), waited);
 }
 
 // --- Device exceptions -----------------------------------------------------

@@ -15,6 +15,7 @@
 #define NVBIT_DRIVER_INTERNAL_HPP
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -205,17 +206,21 @@ struct GpuSlot {
 GpuSlot &gpuSlot(unsigned idx);
 unsigned gpuSlotCount();
 
-/** Stream-service hook: fold a completed launch into driver/tenant
- *  accounting (last-launch stats, totals, module stats, metrics,
- *  event groups).  Called with no locks held. */
-void noteLaunchDone(CUctx_st *ctx, CUfunc_st *fn,
-                    const sim::LaunchStats &st);
+/**
+ * The one launch body, shared by stream ops, context-less launches and
+ * checkpoint resumes: under GPU slot @p gpu_index's lock run @p body
+ * (a launch or a resume), then fold its stats into the driver and
+ * tenant accounting (last-launch stats, totals, module stats, metrics,
+ * event groups), or map the device exception onto its CUresult, poison
+ * @p ctx (sticky error + exception record) and flush the observability
+ * artifacts.  @p ctx and @p fn may be null.  Called with no locks held.
+ */
+CUresult runLaunch(
+    CUctx_st *ctx, CUfunc_st *fn, unsigned gpu_index,
+    const std::function<sim::LaunchStats(sim::GpuDevice &)> &body);
 
-/** Stream-service hook: map a device exception onto its CUresult,
- *  poison @p ctx (sticky error + exception record) and flush the
- *  observability artifacts.  Called with no locks held. */
-CUresult noteLaunchFault(CUctx_st *ctx, CUfunc_st *fn,
-                         const sim::DeviceException &e);
+/** `driver.tenant<N>.<suffix>`: a per-tenant metric of @p ctx. */
+std::string tenantMetric(const CUctx_st *ctx, const char *suffix);
 
 /**
  * Driver-level accounting rewound by a checkpoint restore: the

@@ -28,12 +28,6 @@ constexpr int kStreamEngineTidBase = 900;
  *  track to a gpu-worker track (tids 900+). */
 constexpr int kTenantTidBase = 100;
 
-std::string
-tenantMetric(const CUctx_st *ctx, const char *suffix)
-{
-    return strfmt("driver.tenant%u.%s", ctx->tenant_id, suffix);
-}
-
 const char *
 opKindName(StreamOp::Kind k)
 {
@@ -56,13 +50,6 @@ StreamService::instance()
     // handler stops it, so no static destructor has to.
     static StreamService *svc = new StreamService();
     return *svc;
-}
-
-bool
-StreamService::started() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return running_;
 }
 
 void
@@ -251,20 +238,6 @@ StreamService::eventDestroy(CUevent ev)
 }
 
 bool
-StreamService::isLiveStream(CUstream s) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return live_streams_.count(s) != 0;
-}
-
-bool
-StreamService::isLiveEvent(CUevent ev) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return live_events_.count(ev) != 0;
-}
-
-bool
 StreamService::streamBelongsTo(CUstream s, const CUctx_st *ctx) const
 {
     std::lock_guard<std::mutex> lk(mu_);
@@ -293,13 +266,22 @@ StreamService::scrubEventLocked(CUevt_st *ev)
     }
 }
 
-// --- Enqueue / scheduling -------------------------------------------------
+// --- Submission / scheduling ----------------------------------------------
+
+bool
+StreamService::contextIdleLocked(const CUctx_st *ctx) const
+{
+    return std::all_of(ctx->streams.begin(), ctx->streams.end(),
+                       [this](const auto &sp) {
+                           return streamIdleLocked(sp.get());
+                       });
+}
 
 CUresult
-StreamService::enqueue(CUstream s, std::shared_ptr<StreamOp> op,
-                       bool waited)
+StreamService::submit(CUstream s, std::shared_ptr<StreamOp> op,
+                      bool waited)
 {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(mu_);
     if (!running_ || stop_)
         return CUDA_ERROR_DEINITIALIZED;
     if (!live_streams_.count(s) || s->destroying)
@@ -323,6 +305,7 @@ StreamService::enqueue(CUstream s, std::shared_ptr<StreamOp> op,
     }
     op->ctx = ctx;
     op->seq = ctx->next_seq++;
+    op->waited = waited;
     op->enqueue_ns = nowNs();
     // An op entering an idle stream is its head immediately: its
     // queue-wait (time behind earlier same-stream ops) is zero.
@@ -335,6 +318,19 @@ StreamService::enqueue(CUstream s, std::shared_ptr<StreamOp> op,
         op->event_gen = ++op->event->record_gen;
     if (op->kind == StreamOp::Kind::WaitEvent && op->event)
         op->wait_gen = op->event->record_gen;
+    if (waited && s->is_default && !paused_ && contextIdleLocked(ctx)) {
+        // Inline: every stream of the context is idle, so legacy
+        // ordering holds trivially and the op runs on this thread with
+        // no worker handoff (and no trace flow: it never leaves it).
+        s->running = true;
+        s->running_seq = op->seq;
+        op->dispatch_ns = op->enqueue_ns;
+        lk.unlock();
+        execute(*op);
+        lk.lock();
+        completeOpLocked(s, *op);
+        return op->result;
+    }
     obs::Tracer &tr = obs::Tracer::instance();
     if (tr.enabled()) {
         // Causal flow: begin on the tenant's client track here; the
@@ -355,45 +351,14 @@ StreamService::enqueue(CUstream s, std::shared_ptr<StreamOp> op,
                       obs::argU64("stream", s->id),
                       obs::argU64("tenant", ctx->tenant_id)});
     }
-    s->q.push_back(std::move(op));
+    s->q.push_back(op);
     mr.noteMax(tenantMetric(ctx, "queue_depth_peak"), s->q.size(),
                obs::Stability::Volatile);
     work_cv_.notify_all();
-    return CUDA_SUCCESS;
-}
-
-CUresult
-StreamService::waitOp(const std::shared_ptr<StreamOp> &op)
-{
-    std::unique_lock<std::mutex> lk(mu_);
+    if (!waited)
+        return CUDA_SUCCESS;
     done_cv_.wait(lk, [&] { return op->done; });
     return op->result;
-}
-
-bool
-StreamService::tryBeginInline(CUctx_st *ctx)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!running_ || stop_ || paused_ || ctx->dying ||
-        !ctx->default_stream)
-        return false;
-    for (const auto &sp : ctx->streams)
-        if (!streamIdleLocked(sp.get()))
-            return false;
-    CUstream_st *d = ctx->default_stream;
-    d->running = true;
-    d->running_seq = ctx->next_seq++;
-    return true;
-}
-
-void
-StreamService::endInline(CUctx_st *ctx)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (ctx->default_stream)
-        ctx->default_stream->running = false;
-    done_cv_.notify_all();
-    work_cv_.notify_all();
 }
 
 bool
@@ -454,60 +419,37 @@ StreamService::pickReady(unsigned g, CUstream_st **out_s)
 }
 
 void
-StreamService::execute(StreamOp &op, unsigned gpu_index)
+StreamService::execute(StreamOp &op)
 {
+    // Fault-domain check: ops of a poisoned context fail fast with the
+    // sticky error; they never reach the device.
     CUctx_st *ctx = op.ctx;
-    obs::MetricsRegistry &mr = obs::MetricsRegistry::instance();
-    switch (op.kind) {
-      case StreamOp::Kind::Launch: {
-        // Fault-domain check: ops of a poisoned context fail fast with
-        // the sticky error; they never reach the device.
-        if (CUresult e = ctx->sticky_error) {
-            op.result = e;
-            return;
-        }
-        GpuSlot &slot = gpuSlot(gpu_index);
-        try {
-            sim::LaunchStats st;
-            {
-                std::lock_guard<std::mutex> dev(slot.mu);
-                st = slot.gpu->launch(op.lp);
-            }
-            noteLaunchDone(ctx, op.fn, st);
-            op.result = CUDA_SUCCESS;
-        } catch (const sim::DeviceException &e) {
-            op.result = noteLaunchFault(ctx, op.fn, e);
-        }
-        return;
-      }
-      case StreamOp::Kind::CopyHtoD:
-      case StreamOp::Kind::CopyDtoH: {
-        if (CUresult e = ctx->sticky_error) {
-            op.result = e;
-            return;
-        }
-        GpuSlot &slot = gpuSlot(gpu_index);
-        const bool htod = op.kind == StreamOp::Kind::CopyHtoD;
-        try {
-            std::lock_guard<std::mutex> dev(slot.mu);
-            if (htod)
-                slot.gpu->memory().write(op.dptr, op.src_host, op.bytes);
-            else
-                slot.gpu->memory().read(op.dptr, op.dst_host, op.bytes);
-        } catch (const mem::DeviceMemory::MemFault &) {
-            op.result = CUDA_ERROR_ILLEGAL_ADDRESS;
-            return;
-        }
-        mr.add(htod ? "driver.memcpy_htod_bytes"
-                    : "driver.memcpy_dtoh_bytes",
-               op.bytes);
-        return;
-      }
-      case StreamOp::Kind::EventRecord:
-      case StreamOp::Kind::WaitEvent:
-        // Pure markers; completion bookkeeping happens under mu_.
+    if (CUresult e = ctx->sticky_error) {
+        op.result = e;
         return;
     }
+    if (op.kind == StreamOp::Kind::Launch) {
+        op.result = runLaunch(ctx, op.fn, ctx->gpu_index,
+                              [&](sim::GpuDevice &gpu) {
+                                  return gpu.launch(op.lp);
+                              });
+        return;
+    }
+    GpuSlot &slot = gpuSlot(ctx->gpu_index);
+    const bool htod = op.kind == StreamOp::Kind::CopyHtoD;
+    try {
+        std::lock_guard<std::mutex> dev(slot.mu);
+        if (htod)
+            slot.gpu->memory().write(op.dptr, op.src_host, op.bytes);
+        else
+            slot.gpu->memory().read(op.dptr, op.dst_host, op.bytes);
+    } catch (const mem::DeviceMemory::MemFault &) {
+        op.result = CUDA_ERROR_ILLEGAL_ADDRESS;
+        return;
+    }
+    obs::MetricsRegistry::instance().add(
+        htod ? "driver.memcpy_htod_bytes" : "driver.memcpy_dtoh_bytes",
+        op.bytes);
 }
 
 void
@@ -550,9 +492,9 @@ StreamService::workerLoop(unsigned g)
             obs::TraceSpan span(obs::kHostPid,
                                 kStreamEngineTidBase + g,
                                 op->lp.label, "driver.stream_launch");
-            execute(*op, g);
+            execute(*op);
         } else {
-            execute(*op, g);
+            execute(*op);
         }
         lk.lock();
         completeOpLocked(s, *op);
@@ -564,107 +506,101 @@ StreamService::completeOpLocked(CUstream_st *s, StreamOp &op)
 {
     const uint64_t now = nowNs();
     s->running = false;
-    op.done = true;
-    if (op.kind == StreamOp::Kind::EventRecord && op.event) {
-        op.event->complete_gen =
-            std::max(op.event->complete_gen, op.event_gen);
-        op.event->complete_ns = now;
-    }
-    if (op.result != CUDA_SUCCESS && s->deferred_error == CUDA_SUCCESS)
+    // A waited op's caller has its result; only an unwaited failure is
+    // left for the stream's next query or synchronisation.
+    if (!op.waited && op.result != CUDA_SUCCESS &&
+        s->deferred_error == CUDA_SUCCESS)
         s->deferred_error = op.result;
     // The next op (if any) becomes the stream's head right now — FIFO
     // order means it could not start earlier.
     if (!s->q.empty() && s->q.front()->head_ns == 0)
         s->q.front()->head_ns = now;
-    if (op.ctx) {
-        // Critical-path decomposition (ns, exact by construction:
-        // queue_wait + gate_wait + execute == now - enqueue_ns).
-        const uint64_t head = op.head_ns ? op.head_ns : op.enqueue_ns;
-        const uint64_t disp = op.dispatch_ns ? op.dispatch_ns : head;
-        const uint64_t queue_wait = head - op.enqueue_ns;
-        const uint64_t gate_wait = disp - head;
-        const uint64_t exec_ns = now - disp;
-        const uint64_t latency_ns = now - op.enqueue_ns;
-        const bool error = op.result != CUDA_SUCCESS;
-        {
-            obs::MetricsRegistry::Txn txn(
-                obs::MetricsRegistry::instance());
-            txn.add(tenantMetric(op.ctx, "ops_completed"), 1,
+    // Critical-path decomposition (ns, exact by construction:
+    // queue_wait + gate_wait + execute == now - enqueue_ns).  Every op
+    // that runs is stamped at its head and its dispatch, by the worker
+    // that picks it or by submit() when it runs inline.
+    const uint64_t queue_wait = op.head_ns - op.enqueue_ns;
+    const uint64_t gate_wait = op.dispatch_ns - op.head_ns;
+    const uint64_t exec_ns = now - op.dispatch_ns;
+    const uint64_t latency_ns = now - op.enqueue_ns;
+    const bool error = op.result != CUDA_SUCCESS;
+    {
+        obs::MetricsRegistry::Txn txn(obs::MetricsRegistry::instance());
+        txn.add(tenantMetric(op.ctx, "ops_completed"), 1,
+                obs::Stability::Volatile);
+        if (error)
+            txn.add(tenantMetric(op.ctx, "op_errors"), 1,
                     obs::Stability::Volatile);
-            if (error)
-                txn.add(tenantMetric(op.ctx, "op_errors"), 1,
-                        obs::Stability::Volatile);
-            txn.add(tenantMetric(op.ctx, "queue_wait_ns"), queue_wait,
-                    obs::Stability::Volatile);
-            txn.add(tenantMetric(op.ctx, "gate_wait_ns"), gate_wait,
-                    obs::Stability::Volatile);
-            txn.add(tenantMetric(op.ctx, "execute_ns"), exec_ns,
-                    obs::Stability::Volatile);
-            if (op.kind == StreamOp::Kind::Launch)
-                txn.observe(tenantMetric(op.ctx, "launch_latency_us"),
-                            latency_ns / 1000);
-        }
-        obs::SloMonitor::instance().recordOp(
-            op.ctx->tenant_id, latency_ns / 1000, error, now);
-        obs::Tracer &tr = obs::Tracer::instance();
-        if (tr.enabled() && op.flow_id) {
-            const int tid = kStreamEngineTidBase +
-                            static_cast<int>(op.ctx->gpu_index);
-            tr.flowEnd(obs::kHostPid, tid, "stream.op", "stream.op",
-                       tr.nowUs(), op.flow_id,
-                       {obs::argU64("queue_wait_ns", queue_wait),
-                        obs::argU64("gate_wait_ns", gate_wait),
-                        obs::argU64("execute_ns", exec_ns),
-                        obs::argU64("latency_ns", latency_ns)});
-            // Dependency edges: a completed record *publishes* its
-            // edge; a completed wait consumes the one it captured.
-            if (op.kind == StreamOp::Kind::EventRecord && op.dep_flow)
-                tr.flowBegin(obs::kHostPid, tid, "stream.dep",
-                             "stream.dep", tr.nowUs(), op.dep_flow);
-            if (op.kind == StreamOp::Kind::WaitEvent && op.dep_flow)
-                tr.flowEnd(obs::kHostPid, tid, "stream.dep",
-                           "stream.dep", tr.nowUs(), op.dep_flow);
-        }
+        txn.add(tenantMetric(op.ctx, "queue_wait_ns"), queue_wait,
+                obs::Stability::Volatile);
+        txn.add(tenantMetric(op.ctx, "gate_wait_ns"), gate_wait,
+                obs::Stability::Volatile);
+        txn.add(tenantMetric(op.ctx, "execute_ns"), exec_ns,
+                obs::Stability::Volatile);
+        if (op.kind == StreamOp::Kind::Launch)
+            txn.observe(tenantMetric(op.ctx, "launch_latency_us"),
+                        latency_ns / 1000);
     }
+    obs::SloMonitor::instance().recordOp(op.ctx->tenant_id,
+                                         latency_ns / 1000, error, now);
+    const int tid =
+        kStreamEngineTidBase + static_cast<int>(op.ctx->gpu_index);
+    obs::Tracer &tr = obs::Tracer::instance();
+    if (tr.enabled() && op.flow_id)
+        tr.flowEnd(obs::kHostPid, tid, "stream.op", "stream.op",
+                   tr.nowUs(), op.flow_id,
+                   {obs::argU64("queue_wait_ns", queue_wait),
+                    obs::argU64("gate_wait_ns", gate_wait),
+                    obs::argU64("execute_ns", exec_ns),
+                    obs::argU64("latency_ns", latency_ns)});
+    retireOpLocked(op, now, tid);
     done_cv_.notify_all();
     work_cv_.notify_all();
+}
+
+void
+StreamService::retireOpLocked(StreamOp &op, uint64_t now, int tid)
+{
+    op.done = true;
+    // A retired record completes its generation, even when cancelled,
+    // so event waiters (and queued WaitEvent ops) cannot hang.
+    if (op.kind == StreamOp::Kind::EventRecord && op.event) {
+        op.event->complete_gen =
+            std::max(op.event->complete_gen, op.event_gen);
+        op.event->complete_ns = now;
+    }
+    // Dependency edges: a retired record publishes its edge; a retired
+    // wait consumes the one it captured at enqueue (the record that
+    // owns it publishes on its own retirement, so the pair stays
+    // matched through cancellation too).
+    obs::Tracer &tr = obs::Tracer::instance();
+    if (!op.dep_flow || !tr.enabled())
+        return;
+    if (op.kind == StreamOp::Kind::EventRecord)
+        tr.flowBegin(obs::kHostPid, tid, "stream.dep", "stream.dep",
+                     tr.nowUs(), op.dep_flow);
+    else
+        tr.flowEnd(obs::kHostPid, tid, "stream.dep", "stream.dep",
+                   tr.nowUs(), op.dep_flow);
 }
 
 void
 StreamService::cancelStreamLocked(CUstream_st *s, CUresult r)
 {
     obs::Tracer &tr = obs::Tracer::instance();
+    const uint64_t now = nowNs();
     for (auto &op : s->q) {
-        op->done = true;
         op->result = r;
-        // A cancelled record still completes its generation so event
-        // waiters (and queued WaitEvent ops) cannot hang.
-        if (op->kind == StreamOp::Kind::EventRecord && op->event) {
-            op->event->complete_gen =
-                std::max(op->event->complete_gen, op->event_gen);
-            op->event->complete_ns = nowNs();
-        }
         // Close the op's flow so every begun flow stays paired even
-        // through teardown; a cancelled record still publishes its
-        // dependency edge (its generation completed above), and a
-        // cancelled wait still consumes the edge it captured at
-        // enqueue — the record that owns it publishes on its own
-        // completion or cancellation, so the pair stays matched.
-        if (tr.enabled() && op->flow_id) {
-            const int tid =
-                kTenantTidBase +
-                static_cast<int>(op->ctx ? op->ctx->tenant_id : 0);
+        // through teardown.
+        const int tid =
+            kTenantTidBase + static_cast<int>(op->ctx->tenant_id);
+        if (tr.enabled() && op->flow_id)
             tr.flowEnd(obs::kHostPid, tid, "stream.op", "stream.op",
                        tr.nowUs(), op->flow_id,
                        {obs::argU64("cancelled", 1),
                         obs::argU64("result", r)});
-            if (op->kind == StreamOp::Kind::EventRecord && op->dep_flow)
-                tr.flowBegin(obs::kHostPid, tid, "stream.dep",
-                             "stream.dep", tr.nowUs(), op->dep_flow);
-            if (op->kind == StreamOp::Kind::WaitEvent && op->dep_flow)
-                tr.flowEnd(obs::kHostPid, tid, "stream.dep",
-                           "stream.dep", tr.nowUs(), op->dep_flow);
-        }
+        retireOpLocked(*op, now, tid);
     }
     s->q.clear();
 }
@@ -745,7 +681,9 @@ StreamService::restoreQueues(CUctx_st *ctx, const QueueSnapshot &snap)
         NVBIT_ASSERT(s != nullptr,
                      "queue restore references missing stream %u",
                      e.stream_id);
-        s->q.push_back(std::make_shared<StreamOp>(e.op));
+        auto op = std::make_shared<StreamOp>(e.op);
+        op->waited = false; // its submitter, if any, is not waiting on it
+        s->q.push_back(std::move(op));
     }
     ctx->next_seq = snap.next_seq;
     NVBIT_ASSERT(snap.events.size() <= ctx->events.size(),
@@ -796,12 +734,12 @@ StreamService::streamWaitEvent(CUstream s, CUevent ev, unsigned flags)
         return CUDA_ERROR_INVALID_VALUE;
     if (!ev)
         return CUDA_ERROR_INVALID_HANDLE;
-    // Live-handle validation (stream and event) happens in enqueue(),
+    // Live-handle validation (stream and event) happens in submit(),
     // atomically with the generation capture.
     auto op = std::make_shared<StreamOp>();
     op->kind = StreamOp::Kind::WaitEvent;
     op->event = ev;
-    return enqueue(s, std::move(op), false);
+    return submit(s, std::move(op), false);
 }
 
 CUresult
@@ -809,12 +747,12 @@ StreamService::eventRecord(CUevent ev, CUstream s)
 {
     if (!ev)
         return CUDA_ERROR_INVALID_HANDLE;
-    // Live-handle validation happens in enqueue(), atomically with the
+    // Live-handle validation happens in submit(), atomically with the
     // record-generation bump.
     auto op = std::make_shared<StreamOp>();
     op->kind = StreamOp::Kind::EventRecord;
     op->event = ev;
-    return enqueue(s, std::move(op), false);
+    return submit(s, std::move(op), false);
 }
 
 CUresult
@@ -884,20 +822,8 @@ StreamService::syncContext(CUctx_st *ctx)
     // frees, and a context leaves the scheduling lists (under mu_)
     // before it is deallocated.
     done_cv_.wait(lk, [&] {
-        if (!registeredLocked(ctx))
-            return true;
-        return std::all_of(ctx->streams.begin(), ctx->streams.end(),
-                           [this](const auto &sp) {
-                               return streamIdleLocked(sp.get());
-                           });
+        return !registeredLocked(ctx) || contextIdleLocked(ctx);
     });
-}
-
-uint64_t
-StreamService::eventCompleteNs(CUevent ev) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return live_events_.count(ev) ? ev->complete_ns : 0;
 }
 
 void

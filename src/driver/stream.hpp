@@ -27,13 +27,19 @@
  *  - cuStreamWaitEvent: the op is held until the event generation
  *    captured at call time has completed.
  *
+ * Every op enters through submit().  A *waited* op (a legacy launch, or
+ * any launch while an NVBit tool is attached) blocks its caller until
+ * it completes; when it targets the default stream of an idle context
+ * and the service is not paused it runs inline on the calling thread,
+ * otherwise it queues like any other op.  Inline or queued, an op runs
+ * the same execute() and retires through the same completeOpLocked().
+ *
  * Queues are bounded (NVBIT_SIM_STREAM_QUEUE_DEPTH, default 64): an
  * async enqueue on a full stream fails fast with
  * CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES instead of growing without bound —
  * callers are expected to synchronise and retry (retry-after
- * semantics).  Synchronously-waited ops (legacy launches,
- * cuStreamSynchronize markers) are exempt: the calling thread is its
- * own backpressure.
+ * semantics).  Waited ops are exempt: the calling thread is its own
+ * backpressure.
  *
  * Fault domains: a device exception poisons only the owning context
  * (sticky error); queued ops of a poisoned context complete
@@ -82,7 +88,7 @@ struct CUevt_st {
     uint64_t record_flow = 0;
 };
 
-/** One queued unit of work. */
+/** One unit of work submitted to the stream service. */
 struct StreamOp {
     enum class Kind : uint8_t {
         Launch,
@@ -116,6 +122,11 @@ struct StreamOp {
     uint64_t event_gen = 0;
     uint64_t wait_gen = 0;
 
+    /** The submitter blocks in submit() until this op completes and
+     *  gets its result there, so a failure is not also deferred to the
+     *  stream's next query or synchronisation.  False for ops restored
+     *  from a queue snapshot: nobody waits for them. */
+    bool waited = false;
     /** True once executed or cancelled; `result` is then final. */
     bool done = false;
     CUresult result = CUDA_SUCCESS;
@@ -131,7 +142,8 @@ struct StreamOp {
     // and queue_wait + gate_wait + execute == complete - enqueue_ns by
     // construction.  `head_ns` is stamped when the op becomes its
     // stream's front (at enqueue into an idle stream, or when the
-    // previous op completes); `dispatch_ns` when a worker picks it.
+    // previous op completes); `dispatch_ns` when a worker picks it, or
+    // at enqueue for an op that runs inline.
     uint64_t enqueue_ns = 0;
     uint64_t head_ns = 0;
     uint64_t dispatch_ns = 0;
@@ -192,8 +204,6 @@ class StreamService
      */
     void stop();
 
-    bool started() const;
-
     /** Bind @p ctx (already carrying gpu_index) to its GPU's
      *  scheduling list and create its default stream. */
     void registerContext(CUctx_st *ctx);
@@ -212,39 +222,26 @@ class StreamService
     CUresult eventCreate(CUctx_st *ctx, CUevent *out);
     CUresult eventDestroy(CUevent ev);
 
-    /** @return true if @p s is a live stream handle. */
-    bool isLiveStream(CUstream s) const;
-    bool isLiveEvent(CUevent ev) const;
-
     /** @return true if @p s is live *and* belongs to @p ctx (one lock
      *  acquisition, so the ctx check never dereferences a dead handle). */
     bool streamBelongsTo(CUstream s, const CUctx_st *ctx) const;
 
-    // -- Enqueue / wait ---------------------------------------------
+    // -- Submission -------------------------------------------------
 
     /**
-     * Enqueue @p op on @p s.  With @p waited false the call is subject
-     * to the bounded-queue backpressure contract and may return
-     * CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES.  Handle validation (stream
-     * *and* op->event) happens here, under the same lock hold that
-     * captures the event generation: validating in the public entry
-     * point and dereferencing here would leave a cuEventDestroy window
-     * between the two lock acquisitions.
+     * The one way work enters the service.  An unwaited op is queued on
+     * @p s and the call returns at once, subject to the bounded-queue
+     * backpressure contract (CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES).  A
+     * waited op returns its own result: inline on this thread when
+     * @p s is the default stream of an idle context and the service is
+     * not paused, otherwise queued with this thread blocked until it
+     * completes.  Handle validation (stream *and* op->event) happens
+     * here, under the same lock hold that captures the event
+     * generation: validating in the public entry point and
+     * dereferencing here would leave a cuEventDestroy window between
+     * the two lock acquisitions.
      */
-    CUresult enqueue(CUstream s, std::shared_ptr<StreamOp> op,
-                     bool waited);
-
-    /** Block until @p op completes; returns its result. */
-    CUresult waitOp(const std::shared_ptr<StreamOp> &op);
-
-    /**
-     * Fast path for legacy synchronous launches: atomically claim the
-     * context's default stream iff every stream of the context is
-     * idle.  On success the caller executes inline (no worker handoff)
-     * and must call endInline().
-     */
-    bool tryBeginInline(CUctx_st *ctx);
-    void endInline(CUctx_st *ctx);
+    CUresult submit(CUstream s, std::shared_ptr<StreamOp> op, bool waited);
 
     // -- Synchronisation --------------------------------------------
 
@@ -258,10 +255,6 @@ class StreamService
 
     /** Wait until every stream of @p ctx is idle. */
     void syncContext(CUctx_st *ctx);
-
-    /** Completion timestamp (ns) of an event's newest record; 0 if
-     *  none completed yet.  Bench plumbing. */
-    uint64_t eventCompleteNs(CUevent ev) const;
 
     /**
      * Telemetry collector hook: publish instantaneous per-tenant
@@ -339,13 +332,22 @@ class StreamService
 
     bool headReady(const CUctx_st *ctx, const CUstream_st *s) const;
 
-    void execute(StreamOp &op, unsigned gpu_index);
+    /** Run a launch or copy @p op on its context's GPU (no locks
+     *  held); sets its result.  Marker ops never get here: they are
+     *  never waited, and the worker retires them under mu_. */
+    void execute(StreamOp &op);
     void workerLoop(unsigned g);
 
-    /** Completion bookkeeping for a popped op (mu_ held): clears the
-     *  stream's running flag, raises event generations, folds deferred
-     *  errors and wakes waiters. */
+    /** Completion bookkeeping for a running op, inline or dispatched
+     *  (mu_ held): clears the stream's running flag, folds an unwaited
+     *  failure into the stream's deferred error, accounts the op to
+     *  its tenant, retires it and wakes waiters. */
     void completeOpLocked(CUstream_st *s, StreamOp &op);
+
+    /** What completion and cancellation share (mu_ held): mark @p op
+     *  done, complete the generation an EventRecord publishes, and
+     *  close its dependency flow edge on trace track @p tid. */
+    void retireOpLocked(StreamOp &op, uint64_t now, int tid);
 
     /** @return true while @p ctx is on a GPU scheduling list.  Pointer
      *  comparison only — safe on stale/freed pointers (mu_ held). */
@@ -361,6 +363,9 @@ class StreamService
     {
         return s->q.empty() && !s->running;
     }
+
+    /** Every stream of @p ctx is idle (mu_ held). */
+    bool contextIdleLocked(const CUctx_st *ctx) const;
 
     mutable std::mutex mu_;
     std::condition_variable work_cv_;

@@ -1,5 +1,7 @@
 #include "mem/device_memory.hpp"
 
+#include <atomic>
+
 #include "common/logging.hpp"
 #include "mem/shadow_memory.hpp"
 
@@ -138,24 +140,37 @@ checkAligned(DevPtr addr, size_t bytes, bool is_write)
         throw DeviceMemory::MemFault{addr, bytes, is_write, true};
 }
 
+/**
+ * The naturally aligned word at @p p, accessed as a relaxed atomic.
+ * SMs of the parallel engine may load and store one global word at
+ * once (a legal CUDA race whose last writer is unspecified); that must
+ * not be a host data race.  On x86-64 these are the same plain moves.
+ */
+template <typename T>
+std::atomic_ref<T>
+word(uint8_t *p)
+{
+    return std::atomic_ref<T>(*reinterpret_cast<T *>(p));
+}
+
 } // namespace
 
 uint32_t
 DeviceMemory::read32(DevPtr addr) const
 {
-    uint32_t v;
-    checkAligned(addr, sizeof(v), false);
-    read(addr, &v, sizeof(v));
-    return v;
+    checkAligned(addr, sizeof(uint32_t), false);
+    checkRange(addr, sizeof(uint32_t), false);
+    return word<uint32_t>(storage_.get() + addr)
+        .load(std::memory_order_relaxed);
 }
 
 uint64_t
 DeviceMemory::read64(DevPtr addr) const
 {
-    uint64_t v;
-    checkAligned(addr, sizeof(v), false);
-    read(addr, &v, sizeof(v));
-    return v;
+    checkAligned(addr, sizeof(uint64_t), false);
+    checkRange(addr, sizeof(uint64_t), false);
+    return word<uint64_t>(storage_.get() + addr)
+        .load(std::memory_order_relaxed);
 }
 
 // write32/write64 back the simulator's STG/STL/ATOM stores.  They skip
@@ -167,7 +182,8 @@ DeviceMemory::write32(DevPtr addr, uint32_t v)
 {
     checkAligned(addr, sizeof(v), true);
     checkRange(addr, sizeof(v), true);
-    std::memcpy(storage_.get() + addr, &v, sizeof(v));
+    word<uint32_t>(storage_.get() + addr)
+        .store(v, std::memory_order_relaxed);
     if (shadow_)
         shadow_->markInitialized(addr, sizeof(v));
 }
@@ -177,7 +193,8 @@ DeviceMemory::write64(DevPtr addr, uint64_t v)
 {
     checkAligned(addr, sizeof(v), true);
     checkRange(addr, sizeof(v), true);
-    std::memcpy(storage_.get() + addr, &v, sizeof(v));
+    word<uint64_t>(storage_.get() + addr)
+        .store(v, std::memory_order_relaxed);
     if (shadow_)
         shadow_->markInitialized(addr, sizeof(v));
 }

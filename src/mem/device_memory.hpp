@@ -95,6 +95,10 @@ class DeviceMemory
      *  the range check every accessor applies before touching it. */
     bool inRange(DevPtr addr, size_t bytes) const;
 
+    /** Naturally aligned word accessors, the way simulated loads,
+     *  stores, atomics, reduction commits and inline probes reach
+     *  memory.  Relaxed atomics: parallel SMs may touch one word at
+     *  once without a host data race. */
     uint32_t read32(DevPtr addr) const;
     uint64_t read64(DevPtr addr) const;
     void write32(DevPtr addr, uint32_t v);

@@ -58,16 +58,6 @@ CacheHierarchy::CacheHierarchy(const GpuConfig &cfg)
         l1s_.emplace_back(cfg.l1);
 }
 
-CacheLevel
-CacheHierarchy::access(unsigned sm, uint64_t line_addr)
-{
-    if (accessL1(sm, line_addr))
-        return CacheLevel::L1;
-    if (accessL2(line_addr))
-        return CacheLevel::L2;
-    return CacheLevel::Memory;
-}
-
 bool
 CacheHierarchy::accessL1(unsigned sm, uint64_t line_addr)
 {

@@ -13,9 +13,6 @@
 
 namespace nvbit::sim {
 
-/** Outcome of a cache-hierarchy access. */
-enum class CacheLevel : uint8_t { L1, L2, Memory };
-
 /** One set-associative LRU cache. */
 class Cache
 {
@@ -62,13 +59,10 @@ class CacheHierarchy
   public:
     CacheHierarchy(const GpuConfig &cfg);
 
-    /** Access one line from SM @p sm; returns the level that served it. */
-    CacheLevel access(unsigned sm, uint64_t line_addr);
-
     /**
-     * Access only SM @p sm's private L1 (returns hit?).  Used by the
-     * parallel orchestrator, which replays the shared-L2 stream
-     * separately to keep results deterministic.
+     * Access only SM @p sm's private L1 (returns hit?).  The SMs call
+     * this as they run; the shared-L2 stream is replayed after they
+     * join, to keep results deterministic.
      */
     bool accessL1(unsigned sm, uint64_t line_addr);
 

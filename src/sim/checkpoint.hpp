@@ -8,7 +8,6 @@
  *  - the flat device-memory image plus allocator maps (global state,
  *    loaded code, kernel parameters),
  *  - the L1/L2 tag+LRU state,
- *  - the device's running launch totals,
  *  - for mid-launch captures: every SM executor's committed state
  *    (stats shard, cycle totals, PC samples, deferred L2 logs) plus
  *    the in-flight thread block's complete architectural state
@@ -38,7 +37,6 @@
 #include "sim/cache.hpp"
 #include "sim/launch.hpp"
 #include "sim/sm.hpp"
-#include "sim/stats.hpp"
 
 namespace nvbit::sim {
 
@@ -46,9 +44,6 @@ namespace nvbit::sim {
 struct GpuState {
     mem::DeviceMemory::Image memory;
     CacheHierarchy::Image caches;
-    /** Device running totals at capture time (pre-launch for
-     *  mid-launch captures: totals merge at launch completion). */
-    LaunchStats totals;
 
     /** True when captured inside a launch; the fields below are then
      *  valid and resumeLaunch() can finish the interrupted launch. */

@@ -335,7 +335,6 @@ GpuDevice::finishLaunch(const LaunchParams &lp, const GridPlan &grid,
         critical ? critical->cyclesByReason()
                  : std::array<uint64_t, obs::kNumStallReasons>{};
 
-    totals_.merge(stats);
     publishLaunch(lp, stats, execs, grid.per_sm, gate);
     return stats;
 }
@@ -358,7 +357,6 @@ GpuDevice::captureDevice(GpuState &out) const
 {
     out.memory = memory_->snapshot();
     out.caches = caches_.snapshot();
-    out.totals = totals_;
 }
 
 GpuState
@@ -374,7 +372,6 @@ GpuDevice::restore(const GpuState &st)
 {
     memory_->restore(st.memory);
     caches_.restore(st.caches);
-    totals_ = st.totals;
     // Derived state rebuilds on demand; only the Volatile decode-cache
     // counters observe the difference.
     code_cache_->invalidateAll();

@@ -97,9 +97,6 @@ class GpuDevice
     /** Maximum resident warps per SM for the given requirements. */
     unsigned occupancyWarps(uint32_t num_regs, uint32_t shared_bytes) const;
 
-    /** Running total of all launches since construction. */
-    const LaunchStats &totals() const { return totals_; }
-
     /** Flush the data caches AND the predecoded-code cache. */
     void invalidateCaches();
 
@@ -195,7 +192,6 @@ class GpuDevice
     CacheHierarchy caches_;
     std::unique_ptr<CodeCache> code_cache_;
     std::unique_ptr<ThreadPool> pool_;
-    LaunchStats totals_;
     Fidelity fidelity_ = Fidelity::Full;
 
     /** One-shot mid-launch capture request (see armCheckpoint). */

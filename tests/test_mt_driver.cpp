@@ -3,14 +3,16 @@
  * Multi-tenant driver-service suite: streams, events, async copies,
  * legacy null-stream ordering, bounded-queue backpressure, fault-domain
  * isolation (watchdog -> sticky error -> reset recovery), GPU pooling,
- * per-tenant metrics, a threads-x-contexts stress test (run under TSan
- * in CI), engine-config determinism and the adversarial-tenant chaos
- * campaign.
+ * per-tenant metrics, inline and queued launches as one path (same
+ * accounting, same error reporting), a threads-x-contexts stress test
+ * (run under TSan in CI), engine-config determinism and the
+ * adversarial-tenant chaos campaign.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "driver/internal.hpp"
 #include "engine_matrix.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "tools/fault_injection.hpp"
 
 namespace nvbit::cudrv {
@@ -616,6 +619,132 @@ TEST_F(MtDriverTest, PerTenantMetricsAreAccounted)
     // bench/chaos tools read.
     sim::LaunchStats st = contextTotalStats(ctx_);
     EXPECT_GT(st.thread_instrs, 0u);
+}
+
+// --- One launch path: inline and queued launches ------------------------
+
+/** What one tenant's completed stream ops have added up to so far. */
+struct OpCounts {
+    uint64_t ops = 0;
+    uint64_t errors = 0;
+    uint64_t latencies = 0; ///< launch_latency_us observations
+    uint64_t slo_ops = 0;
+
+    static OpCounts
+    read(uint32_t tenant)
+    {
+        obs::MetricsRegistry &mr = obs::MetricsRegistry::instance();
+        const std::string p = "driver.tenant" + std::to_string(tenant);
+        OpCounts c;
+        c.ops = mr.value(p + ".ops_completed");
+        c.errors = mr.value(p + ".op_errors");
+        obs::HistogramSnapshot h;
+        if (mr.histogram(p + ".launch_latency_us", h))
+            c.latencies = h.total;
+        obs::SloSummary slo;
+        if (obs::SloMonitor::instance().summary(tenant, slo))
+            c.slo_ops = slo.ops;
+        return c;
+    }
+
+    OpCounts
+    since(const OpCounts &b) const
+    {
+        return {ops - b.ops, errors - b.errors, latencies - b.latencies,
+                slo_ops - b.slo_ops};
+    }
+};
+
+class LaunchPathTest : public MtDriverTest
+{
+  protected:
+    /** Run @p launch, a waited launch on the null stream of ctx_, the
+     *  way @p queued says: on an idle context it runs inline; with
+     *  dispatch paused it queues on the default stream instead, and a
+     *  second thread unpauses once it sees it there. */
+    CUresult
+    launchVia(bool queued, const std::function<CUresult()> &launch)
+    {
+        if (!queued)
+            return launch();
+        detail::StreamService &svc = detail::StreamService::instance();
+        svc.pause();
+        std::atomic<bool> returned{false};
+        std::thread unpauser([&] {
+            cuCtxSetCurrent(ctx_);
+            while (!returned &&
+                   cuStreamQuery(nullptr) != CUDA_ERROR_NOT_READY)
+                std::this_thread::yield();
+            svc.unpause();
+        });
+        CUresult r = launch();
+        returned = true;
+        unpauser.join();
+        return r;
+    }
+
+    /** vecadd over @p n elements reading and writing @p ptr. */
+    CUresult
+    vecadd(CUfunction fn, CUdeviceptr ptr, uint32_t n)
+    {
+        void *params[] = {&ptr, &ptr, &ptr, &n};
+        return cuLaunchKernel(fn, (n + 127) / 128, 1, 1, 128, 1, 1, 0,
+                              nullptr, params, nullptr);
+    }
+};
+
+TEST_F(LaunchPathTest, InlineAndQueuedLaunchesAccountAlike)
+{
+    // A launch is one event whichever way the service schedules it: a
+    // good and a faulting launch add the same per-tenant op counts,
+    // error counts, latency observations and SLO ops on both paths.
+    CUfunction fn = loadKernel(kVecAdd, "vecadd");
+    CUdeviceptr d;
+    ASSERT_EQ(cuMemAlloc(&d, 256 * 4), CUDA_SUCCESS);
+    const CUdeviceptr bad = 0xFFFFFFFF0000ull;
+    OpCounts delta[2];
+    for (bool queued : {false, true}) {
+        const OpCounts before = OpCounts::read(0);
+        EXPECT_EQ(launchVia(queued, [&] { return vecadd(fn, d, 256); }),
+                  CUDA_SUCCESS);
+        EXPECT_EQ(launchVia(queued, [&] { return vecadd(fn, bad, 256); }),
+                  CUDA_ERROR_ILLEGAL_ADDRESS);
+        ASSERT_EQ(cuDevicePrimaryCtxReset(0), CUDA_SUCCESS);
+        delta[queued] = OpCounts::read(0).since(before);
+    }
+    for (bool queued : {false, true}) {
+        SCOPED_TRACE(queued ? "queued" : "inline");
+        EXPECT_EQ(delta[queued].ops, 2u);
+        EXPECT_EQ(delta[queued].errors, 1u);
+        EXPECT_EQ(delta[queued].latencies, 2u);
+        EXPECT_EQ(delta[queued].slo_ops, 2u);
+    }
+    obs::MetricsRegistry &mr = obs::MetricsRegistry::instance();
+    EXPECT_EQ(mr.value("driver.tenant0.launches"), 2u);
+    EXPECT_EQ(mr.value("driver.tenant0.faults"), 2u);
+}
+
+TEST_F(LaunchPathTest, WaitedLaunchFaultIsNotDeferred)
+{
+    // A waited launch reports its fault to its caller; after the reset
+    // clears the sticky error nothing is left for the next query.  A
+    // failed unwaited op still surfaces exactly once.
+    CUfunction fn = loadKernel(kVecAdd, "vecadd");
+    const CUdeviceptr bad = 0xFFFFFFFF0000ull;
+    for (bool queued : {false, true}) {
+        SCOPED_TRACE(queued ? "queued" : "inline");
+        EXPECT_EQ(launchVia(queued, [&] { return vecadd(fn, bad, 64); }),
+                  CUDA_ERROR_ILLEGAL_ADDRESS);
+        EXPECT_EQ(cuStreamQuery(nullptr), CUDA_ERROR_ILLEGAL_ADDRESS);
+        ASSERT_EQ(cuDevicePrimaryCtxReset(0), CUDA_SUCCESS);
+        EXPECT_EQ(cuStreamQuery(nullptr), CUDA_SUCCESS);
+    }
+    uint32_t host[16];
+    ASSERT_EQ(cuMemcpyDtoHAsync(host, bad, sizeof(host), nullptr),
+              CUDA_SUCCESS);
+    ASSERT_EQ(cuCtxSynchronize(), CUDA_SUCCESS);
+    EXPECT_EQ(cuStreamQuery(nullptr), CUDA_ERROR_ILLEGAL_ADDRESS);
+    EXPECT_EQ(cuStreamQuery(nullptr), CUDA_SUCCESS);
 }
 
 TEST_F(MtDriverTest, ThreadsTimesContextsStressIsRaceFree)

@@ -19,6 +19,9 @@
  *  5. End to end: icount and mdiv tool counts on cg/swim equal the
  *     uninstrumented counter oracle in the parallel engine, where the
  *     tools' `red` counters go through the logs.
+ *  6. Racing plain stores: CTAs on parallel SMs storing one value to
+ *     one word is legal CUDA, and must not be a host data race (the
+ *     `tsan` preset runs this suite).
  */
 #include <gtest/gtest.h>
 
@@ -155,6 +158,16 @@ LOOP:
     @%p1 bra LOOP;
 DONE:
     red.global.add.u64 [%rd1+8], 1;
+    exit;
+}
+
+.visible .entry same(.param .u64 buf)
+{
+    .reg .u32 %r<2>;
+    .reg .u64 %rd<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, 7;
+    st.global.u32 [%rd1], %r1;
     exit;
 }
 )";
@@ -493,6 +506,43 @@ TEST(ReductionEndToEndTest, ToolCountsMatchOracleInParallelEngine)
             }
         }
         clearEngineEnv();
+    }
+    resetDriver();
+}
+
+// ---------------------------------------------------------------------
+// 6. Racing plain stores
+// ---------------------------------------------------------------------
+
+TEST(RacingStoreTest, ParallelSmsStoringOneWordAgree)
+{
+    clearEngineEnv();
+    for (const EngineConfig &e : kEngineMatrix) {
+        if (e.exec_mode != sim::ExecMode::Parallel)
+            continue;
+        SCOPED_TRACE(e.name);
+        resetDriver();
+        sim::GpuConfig cfg;
+        cfg.mem_bytes = 8 << 20;
+        cfg.num_sms = 2;
+        e.apply(cfg);
+        setDeviceConfig(cfg);
+        checkCu(cuInit(0), "init");
+        CUcontext ctx = nullptr;
+        checkCu(cuCtxCreate(&ctx, 0, 0), "ctx");
+        CUmodule mod = nullptr;
+        checkCu(cuModuleLoadData(&mod, kKernels, 0), "load");
+        CUfunction fn = nullptr;
+        checkCu(cuModuleGetFunction(&fn, mod, "same"), "get");
+        CUdeviceptr buf = 0;
+        checkCu(cuMemAlloc(&buf, 4), "alloc");
+        void *params[] = {&buf};
+        ASSERT_EQ(cuLaunchKernel(fn, 16, 1, 1, 32, 1, 1, 0, nullptr,
+                                 params, nullptr),
+                  CUDA_SUCCESS);
+        uint32_t v = 0;
+        checkCu(cuMemcpyDtoH(&v, buf, 4), "dtoh");
+        EXPECT_EQ(v, 7u);
     }
     resetDriver();
 }
